@@ -1,5 +1,6 @@
 #include "dd/complex_table.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -11,7 +12,7 @@ constexpr fp kSeedValues[] = {0.0,  1.0,        -1.0,       0.5,
 }  // namespace
 
 RealTable::RealTable(fp tolerance)
-    : tol_{tolerance}, bucketWidth_{4 * tolerance}, slots_(kSlots) {
+    : tol_{tolerance}, bucketWidth_{4 * tolerance}, slots_(kSlots, nullptr) {
   // Pre-seed the values virtually every gate set produces, so they become
   // the representatives rather than whatever jittered variant shows up first.
   for (const fp v : kSeedValues) {
@@ -30,17 +31,12 @@ std::size_t RealTable::slotOf(std::int64_t id) noexcept {
 }
 
 bool RealTable::findIn(std::int64_t id, fp x, fp& out) const noexcept {
-  // Acquire on the chain heads pairs with the inserter's release stores, so
-  // every node reached through them is fully initialized; interior `next`
-  // pointers are immutable after publication.
-  const BucketNode* bucket =
-      slots_[slotOf(id)].load(std::memory_order_acquire);
-  for (; bucket != nullptr; bucket = bucket->next) {
+  for (const BucketNode* bucket = slots_[slotOf(id)]; bucket != nullptr;
+       bucket = bucket->next) {
     if (bucket->id != id) {
       continue;
     }
-    for (const ValueNode* v = bucket->values.load(std::memory_order_acquire);
-         v != nullptr; v = v->next) {
+    for (const ValueNode* v = bucket->values; v != nullptr; v = v->next) {
       if (std::abs(v->value - x) <= tol_) {
         out = v->value;
         return true;
@@ -64,76 +60,51 @@ fp RealTable::lookup(fp x) {
       return out;
     }
   }
-  // Miss: insert under the write lock, re-probing first — a concurrent
-  // insert within tolerance must win, or two workers would mint distinct
-  // representatives for the "same" value and break canonicity.
-  const std::lock_guard<std::mutex> lock{writeMutex_};
-  for (std::int64_t probe = b - 1; probe <= b + 1; ++probe) {
-    if (findIn(probe, x, out)) {
-      return out;
-    }
-  }
-  BucketNode* bucket = findOrCreateBucketLocked(b);
-  valueArena_.push_back(
-      ValueNode{x, bucket->values.load(std::memory_order_relaxed)});
-  bucket->values.store(&valueArena_.back(), std::memory_order_release);
-  count_.fetch_add(1, std::memory_order_relaxed);
+  prepend(findOrCreateBucket(b), x);
   return x;
 }
 
-RealTable::BucketNode* RealTable::findOrCreateBucketLocked(std::int64_t id) {
-  std::atomic<BucketNode*>& head = slots_[slotOf(id)];
-  for (BucketNode* cur = head.load(std::memory_order_relaxed); cur != nullptr;
-       cur = cur->next) {
+RealTable::BucketNode* RealTable::findOrCreateBucket(std::int64_t id) {
+  BucketNode*& head = slots_[slotOf(id)];
+  for (BucketNode* cur = head; cur != nullptr; cur = cur->next) {
     if (cur->id == id) {
       return cur;
     }
   }
-  bucketArena_.emplace_back(id, head.load(std::memory_order_relaxed));
-  BucketNode* bucket = &bucketArena_.back();
-  head.store(bucket, std::memory_order_release);
-  return bucket;
+  head = &bucketArena_.emplace_back(BucketNode{id, head, nullptr});
+  return head;
+}
+
+void RealTable::prepend(BucketNode* bucket, fp x) {
+  bucket->values = &valueArena_.emplace_back(ValueNode{x, bucket->values});
+  ++count_;
 }
 
 void RealTable::insertExact(fp x) {
   if (x == 0.0) {
     return;  // zero is implicit
   }
-  const std::lock_guard<std::mutex> lock{writeMutex_};
-  BucketNode* bucket = findOrCreateBucketLocked(bucketOf(x));
-  for (const ValueNode* v = bucket->values.load(std::memory_order_relaxed);
-       v != nullptr; v = v->next) {
+  BucketNode* bucket = findOrCreateBucket(bucketOf(x));
+  for (const ValueNode* v = bucket->values; v != nullptr; v = v->next) {
     if (v->value == x) {
       return;
     }
   }
-  valueArena_.push_back(
-      ValueNode{x, bucket->values.load(std::memory_order_relaxed)});
-  bucket->values.store(&valueArena_.back(), std::memory_order_release);
-  count_.fetch_add(1, std::memory_order_relaxed);
+  prepend(bucket, x);
 }
 
 void RealTable::clear() {
-  {
-    const std::lock_guard<std::mutex> lock{writeMutex_};
-    resetLocked();
-  }
+  std::fill(slots_.begin(), slots_.end(), nullptr);
+  bucketArena_.clear();
+  valueArena_.clear();
+  count_ = 0;
   for (const fp v : kSeedValues) {
     (void)lookup(v);
   }
 }
 
-void RealTable::resetLocked() {
-  for (auto& slot : slots_) {
-    slot.store(nullptr, std::memory_order_relaxed);
-  }
-  bucketArena_.clear();
-  valueArena_.clear();
-  count_.store(0, std::memory_order_relaxed);
-}
-
 std::size_t RealTable::memoryBytes() const noexcept {
-  std::size_t bytes = slots_.size() * sizeof(std::atomic<BucketNode*>);
+  std::size_t bytes = slots_.size() * sizeof(BucketNode*);
   bytes += bucketArena_.size() * sizeof(BucketNode);
   bytes += valueArena_.size() * sizeof(ValueNode);
   return bytes;

@@ -160,22 +160,24 @@ ObsSnapshot Registry::snapshot() const {
     }
     HistogramSnapshot hs;
     hs.name = name;
-    hs.count = h->count();
     hs.sumNs = h->sumNs();
     hs.minNs = h->minNs();
     hs.maxNs = h->maxNs();
     hs.p50Ns = h->quantileNs(0.50);
     hs.p99Ns = h->quantileNs(0.99);
+    // Read each bucket once and take the count from those same reads, so a
+    // record() racing the snapshot cannot leave the total (the exposition's
+    // le="+Inf" bucket) below the last cumulative bucket.
+    hs.buckets.resize(Histogram::kBuckets);
     std::size_t top = 0;
     for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
-      if (h->bucket(b) != 0) {
+      hs.buckets[b] = h->bucket(b);
+      hs.count += hs.buckets[b];
+      if (hs.buckets[b] != 0) {
         top = b + 1;
       }
     }
-    hs.buckets.reserve(top);
-    for (std::size_t b = 0; b < top; ++b) {
-      hs.buckets.push_back(h->bucket(b));
-    }
+    hs.buckets.resize(top);
     snap.histograms.push_back(std::move(hs));
   }
   for (const auto& [name, p] : i.phases) {

@@ -282,6 +282,13 @@ void JobQueue::workerLoop(unsigned worker) {
 
 void JobQueue::finish(const JobHandle& job, JobState state,
                       const std::string& error) {
+  // Leave running_ before turning terminal: a caller whose wait() has
+  // returned must not find the job among runningJobs() (the watchdog would
+  // count a finished job as stalled).
+  {
+    const std::lock_guard lock{mutex_};
+    running_.erase(job.get());
+  }
   const std::uint64_t endNs = monotonicNs();
   const std::uint64_t latencyNs = endNs - job->submitNs_;
   const std::uint64_t startNs = job->startNs_.load(std::memory_order_relaxed);
@@ -309,10 +316,6 @@ void JobQueue::finish(const JobHandle& job, JobState state,
   fn = nullptr;
   latencyHistogram().record(latencyNs);
   job->done_.notify_all();
-  {
-    const std::lock_guard lock{mutex_};
-    running_.erase(job.get());
-  }
   if (job->orderKey_ != 0) {
     bool promoted = false;
     {

@@ -1,10 +1,7 @@
 #pragma once
 // DD-based simulator — the DDSIM [99] baseline: one DD matrix-vector
-// multiplication per gate. Sequential by default (DDSIM does not support
-// multi-threading; Table 1 runs it on one thread for the same reason), but
-// setThreads(t > 1) fans the per-gate mat-vec recursion out over the global
-// thread pool once the state DD is large enough to amortize fork/join —
-// that is FlatDD's parallel DD phase (ISSUE 7), not part of the baseline.
+// multiplication per gate, sequential (DDSIM does not support
+// multi-threading; Table 1 runs it on one thread for the same reason).
 
 #include <cstddef>
 #include <memory>
@@ -23,12 +20,6 @@ class DDSimulator {
   explicit DDSimulator(Qubit nQubits, fp tolerance = 1e-10);
 
   [[nodiscard]] Qubit numQubits() const noexcept { return pkg_->numQubits(); }
-
-  /// Workers for the parallel DD mat-vec recursion (1 = sequential DDSIM
-  /// baseline). Forwards to Package::setDdThreads; takes effect at the next
-  /// applyOperation.
-  void setThreads(unsigned threads) noexcept { pkg_->setDdThreads(threads); }
-  [[nodiscard]] unsigned threads() const noexcept { return pkg_->ddThreads(); }
 
   /// Resets to |0...0>.
   void reset();

@@ -40,6 +40,11 @@ struct GateCase {
   const char* label;
 };
 
+// Without this, gtest prints a case as its raw bytes: struct padding and the
+// heap addresses inside qc::Operation, which change on every run and so give
+// the discovered ctest names no stable identity.
+void PrintTo(const GateCase& c, std::ostream* os) { *os << c.label; }
+
 class GateDDs : public ::testing::TestWithParam<GateCase> {};
 
 TEST_P(GateDDs, MatchesDenseOperator) {

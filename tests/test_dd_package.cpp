@@ -1,9 +1,12 @@
 // DD package core: node construction and normalization invariants, canonicity
 // (structural sharing), basis states, amplitude queries, ref counting and
-// garbage collection.
+// garbage collection, and the compute table's lookup contract.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "dd/compute_table.hpp"
 #include "dd/package.hpp"
 #include "helpers.hpp"
 
@@ -178,6 +181,40 @@ TEST(Package, IdentityNodeCountIsLinear) {
   Package p{10};
   const mEdge id = p.makeIdent(9);
   EXPECT_EQ(p.nodeCount(id), 10u);
+}
+
+TEST(ComputeTable, HitsCopyOutAndSurviveCollidingInserts) {
+  // Two slots, so inserts collide. A hit is a copy: later inserts into the
+  // same slot must not change a result the caller already holds.
+  using Key = MulKey<mNode, vNode>;
+  ComputeTable<Key, vEdge, 1> table;
+  const auto key = [](std::uintptr_t id) {
+    return Key{reinterpret_cast<const mNode*>(id << 4),
+               reinterpret_cast<const vNode*>(id << 8)};
+  };
+  const auto result = [](std::uintptr_t id) {
+    return vEdge{reinterpret_cast<vNode*>(id << 12),
+                 Complex(static_cast<fp>(id), -1.0)};
+  };
+  table.insert(key(1), result(1));
+  vEdge held;
+  ASSERT_TRUE(table.lookup(key(1), held));
+  for (std::uintptr_t id = 2; id < 16; ++id) {
+    table.insert(key(id), result(id));
+  }
+  EXPECT_EQ(held, result(1));
+  std::size_t hits = 1;
+  for (std::uintptr_t id = 1; id < 16; ++id) {
+    if (vEdge out; table.lookup(key(id), out)) {
+      EXPECT_EQ(out, result(id)) << "key " << id;
+      ++hits;
+    }
+  }
+  EXPECT_GE(hits, 2u);  // at least key 15, the last insert, survives
+  EXPECT_EQ(table.hits(), hits);
+  EXPECT_EQ(table.hits() + table.misses(), 16u);
+  table.flush();
+  EXPECT_FALSE(table.lookup(key(15), held));
 }
 
 }  // namespace

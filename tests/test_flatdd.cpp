@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "circuits/generators.hpp"
 #include "circuits/supremacy.hpp"
+#include "engine/backend_factory.hpp"
 #include "flatdd/flatdd_simulator.hpp"
 #include "helpers.hpp"
 #include "sim/array_simulator.hpp"
@@ -235,6 +238,53 @@ TEST(FlatDD, ThreadSweepIsDeterministicInResult) {
       reference = state;
     } else {
       EXPECT_STATE_NEAR(state, reference, 1e-10) << "t=" << t;
+    }
+  }
+}
+
+TEST(FlatDD, DDPhaseIsDeterministicAcrossRunsAndThreadCounts) {
+  // The DD phase is sequential at every thread count, so two runs at t = 4
+  // and one at t = 1 must build the same DDs gate for gate and end in
+  // bit-identical amplitudes. ewmaMinDDSize keeps every run in the DD phase.
+  for (const qc::Circuit& circuit :
+       {circuits::randomUniversal(10, 150, 3), circuits::supremacy(10, 8, 46)}) {
+    SCOPED_TRACE(circuit.name());
+    const Qubit n = circuit.numQubits();
+    std::vector<engine::GateReport> refGates;
+    std::vector<Complex> refAmps;
+    for (const unsigned t : {4u, 4u, 1u}) {
+      SCOPED_TRACE("threads " + std::to_string(t));
+      engine::EngineOptions opt;
+      opt.threads = t;
+      opt.ewmaMinDDSize = std::size_t{1} << 20;
+      opt.recordPerGate = true;
+      const auto backend =
+          engine::BackendFactory::instance().create("flatdd", n, opt);
+      backend->simulate(circuit);
+      engine::RunReport report;
+      backend->fillReport(report);
+      ASSERT_FALSE(report.converted);
+      ASSERT_EQ(report.perGate.size(), circuit.numGates());
+      std::vector<Complex> amps(Index{1} << n);
+      for (Index i = 0; i < amps.size(); ++i) {
+        amps[i] = backend->amplitude(i);
+      }
+      if (refAmps.empty()) {
+        refGates = report.perGate;
+        refAmps = amps;
+        continue;
+      }
+      for (std::size_t g = 0; g < refGates.size(); ++g) {
+        ASSERT_EQ(report.perGate[g].ddSize, refGates[g].ddSize) << "gate " << g;
+      }
+      for (Index i = 0; i < amps.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(amps[i].real()),
+                  std::bit_cast<std::uint64_t>(refAmps[i].real()))
+            << "amplitude " << i;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(amps[i].imag()),
+                  std::bit_cast<std::uint64_t>(refAmps[i].imag()))
+            << "amplitude " << i;
+      }
     }
   }
 }

@@ -29,7 +29,6 @@
 #include "flatdd/plan_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/thread_pool.hpp"
 #include "service/admin.hpp"
 #include "service/job_queue.hpp"
 #include "service/protocol.hpp"
@@ -390,6 +389,33 @@ TEST(SvcSession, IncrementalApplyMatchesOneShot) {
   EXPECT_EQ(incremental.sample(64), oneShot.sample(64));
 }
 
+TEST(SvcSession, PhaseSecondsAccumulateAcrossChunks) {
+  // apply() feeds the backend in slices of kCancelCheckGates, and a session
+  // takes many applies: the report's phase times must add up over all of
+  // them instead of showing only the last slice.
+  const qc::Circuit longChunk = circuits::randomUniversal(8, 192, 41);
+  qc::Circuit oneGate{8, "one"};
+  oneGate.h(0);
+  for (const bool convert : {false, true}) {
+    SCOPED_TRACE(convert ? "converting" : "staying in DD");
+    SessionConfig cfg = makeConfig(8, 3);
+    if (convert) {
+      cfg.engine.forceConversionAtGate = 20;
+    } else {
+      cfg.engine.ewmaMinDDSize = std::size_t{1} << 20;
+    }
+    Session s{1, std::move(cfg), nullptr};
+    s.apply(longChunk);
+    const engine::RunReport first = s.report();
+    ASSERT_EQ(first.converted, convert);
+    s.apply(oneGate);
+    const engine::RunReport second = s.report();
+    EXPECT_GE(second.ddPhaseSeconds, first.ddPhaseSeconds);
+    EXPECT_GE(second.fusionSeconds, first.fusionSeconds);
+    EXPECT_GE(second.dmavPhaseSeconds, first.dmavPhaseSeconds);
+  }
+}
+
 TEST(SvcSession, ApplyChecksQubitCount) {
   Session s{1, makeConfig(4, 0), nullptr};
   EXPECT_THROW(s.apply(qc::Circuit{5, "wrong"}), std::invalid_argument);
@@ -547,19 +573,6 @@ TEST(SvcSessionManager, OpenFindClose) {
   EXPECT_FALSE(manager.close(s1->id()));
   EXPECT_EQ(manager.find(s1->id()), nullptr);
   EXPECT_EQ(manager.sessionCount(), 1u);
-}
-
-TEST(SvcSessionManager, OpenClampsDdThreadsToPoolBudget) {
-  SessionManager manager{withWorkers(2)};
-  SessionConfig cfg = makeConfig(4, 7);
-  cfg.engine.ddThreads = 100'000;  // far beyond any real pool
-  const auto session = manager.open(std::move(cfg));
-  const unsigned poolSize = par::globalPool().size();
-  EXPECT_EQ(session->config().engine.ddThreads, poolSize);
-  // A request within budget passes through untouched.
-  SessionConfig modest = makeConfig(4, 8);
-  modest.engine.ddThreads = 2;
-  EXPECT_EQ(manager.open(std::move(modest))->config().engine.ddThreads, 2u);
 }
 
 TEST(SvcSessionManager, ConcurrentSessionsMatchSequentialReplay) {
@@ -1164,7 +1177,8 @@ TEST(SvcWatchdog, FlagsLongRunningJobOnce) {
   ASSERT_TRUE(in.is_open());
   std::string line;
   ASSERT_TRUE(static_cast<bool>(std::getline(in, line)));
-  const json::Object& obj = asObject(json::parse(line));
+  const json::Value record = json::parse(line);
+  const json::Object& obj = asObject(record);
   EXPECT_EQ(*obj.find("event")->second.string(), "stall");
   EXPECT_EQ(*obj.find("request_id")->second.string(), "555");
   EXPECT_EQ(*obj.find("op")->second.string(), "blocker");
