@@ -1,6 +1,5 @@
-// Variable-ordering bench (ISSUE 10): quantifies the scored static ordering
-// pass and the dynamic adjacent-swap reorder trick on order-sensitive
-// circuit families, plus two order-invariant controls.
+// Variable-ordering bench: quantifies the scored static ordering pass on
+// order-sensitive circuit families, plus two order-invariant controls.
 //
 // Two measurements per family:
 //  * peak state-DD node count — "dd" backend with recordPerGate, identity
@@ -9,7 +8,7 @@
 //    ordering shapes (the package-wide vNode high-water also counts gate
 //    DDs and multiply intermediates).
 //  * end-to-end simulate time — "flatdd" backend, baseline vs the scored
-//    pass + dynamic reorder, best-of-N to tame container jitter.
+//    pass, best-of-N to tame container jitter.
 //
 // Acceptance (printed and recorded in BENCH_ordering.json):
 //  * >= 20% peak-DD reduction on >= 2 families, and
@@ -88,10 +87,6 @@ struct FamilyResult {
   double peakReduction = 0;  // 1 - ordered/baseline
   double e2eBaseline = 0;
   double e2eOrdered = 0;
-  std::size_t reorderCount = 0;
-  std::size_t reorderSwaps = 0;
-  std::size_t ddPreReorder = 0;
-  std::size_t ddPostReorder = 0;
 };
 
 std::size_t peakStateNodes(const engine::RunReport& report) {
@@ -121,27 +116,19 @@ FamilyResult runFamily(const qc::Circuit& circuit) {
           : 1.0 - static_cast<double>(r.peakOrdered) /
                       static_cast<double>(r.peakBaseline);
 
-  // End-to-end: flatdd backend, baseline vs scored pass + dynamic reorder.
+  // End-to-end: flatdd backend, baseline vs the scored pass.
   engine::EngineOptions e2eBase;
   e2eBase.threads = benchThreads();
   engine::EngineOptions e2eOrdered = e2eBase;
   e2eOrdered.passes = {"ordering"};
-  e2eOrdered.ddReorder = true;
   r.e2eBaseline = bestOf(kReps, "flatdd", circuit, e2eBase).simulateSeconds;
-  const engine::RunReport ordered =
-      bestOf(kReps, "flatdd", circuit, e2eOrdered);
-  r.e2eOrdered = ordered.simulateSeconds;
-  r.reorderCount = ordered.reorderCount;
-  r.reorderSwaps = ordered.reorderSwaps;
-  r.ddPreReorder = ordered.ddSizePreReorder;
-  r.ddPostReorder = ordered.ddSizePostReorder;
+  r.e2eOrdered = bestOf(kReps, "flatdd", circuit, e2eOrdered).simulateSeconds;
   return r;
 }
 
 int run() {
-  printPreamble("Variable ordering — scored static pass + dynamic reorder",
-                "arXiv:2512.01186 (gate-adjacency scoring), arXiv:2211.07110 "
-                "(DD reordering)");
+  printPreamble("Variable ordering — scored static pass",
+                "arXiv:2512.01186 (gate-adjacency scoring)");
 
   std::vector<qc::Circuit> families;
   families.push_back(bellCrossed(16));
@@ -153,14 +140,13 @@ int run() {
   std::vector<FamilyResult> results;
   results.reserve(families.size());
   Table table({"Circuit", "peak DD (id)", "peak DD (ord)", "reduction",
-               "e2e base", "e2e ordered", "reorders"});
+               "e2e base", "e2e ordered"});
   for (const auto& circuit : families) {
     FamilyResult r = runFamily(circuit);
     table.addRow({r.name, std::to_string(r.peakBaseline),
                   std::to_string(r.peakOrdered),
                   fmtPercent(100.0 * r.peakReduction),
-                  fmtSeconds(r.e2eBaseline), fmtSeconds(r.e2eOrdered),
-                  std::to_string(r.reorderCount)});
+                  fmtSeconds(r.e2eBaseline), fmtSeconds(r.e2eOrdered)});
     results.push_back(std::move(r));
   }
   table.print();
@@ -201,10 +187,6 @@ int run() {
     w.kv("peakReduction", r.peakReduction);
     w.kv("e2eBaselineSeconds", r.e2eBaseline);
     w.kv("e2eOrderedSeconds", r.e2eOrdered);
-    w.kv("reorderCount", static_cast<std::uint64_t>(r.reorderCount));
-    w.kv("reorderSwaps", static_cast<std::uint64_t>(r.reorderSwaps));
-    w.kv("ddSizePreReorder", static_cast<std::uint64_t>(r.ddPreReorder));
-    w.kv("ddSizePostReorder", static_cast<std::uint64_t>(r.ddPostReorder));
     w.endObject();
   }
   w.endArray();

@@ -120,85 +120,6 @@ vEdge Package::makeBasisState(Index bits) {
 }
 
 // ---------------------------------------------------------------------------
-// Adjacent-level variable swap (the reorder trick, arXiv:2211.07110)
-// ---------------------------------------------------------------------------
-//
-// Local rewrite at u = lower + 1: a node U at level u with children a, b
-// represents f(x_u, x_l, rest) = x_u' [a b] over the level-l subtrees. The
-// swapped node U' indexes x_l first, so its child for x_l = i is the level-l
-// node over x_u built from the i-children of a and b (weights multiplied
-// through, zeros propagated). Levels above u only change because child
-// *identities* changed; they are rebuilt through the normalizing
-// constructors with a per-node memo (results stored weight-1 and scaled by
-// the incoming edge weight — the same factoring the compute tables use).
-
-vEdge Package::swapAdjacent(const vEdge& state, Qubit lower) {
-  if (lower < 0 || lower + 1 >= nQubits_) {
-    throw std::out_of_range("swapAdjacent: level out of range");
-  }
-  if (state.isZero() || state.isTerminal() || state.n->v <= lower) {
-    return state;  // no node at or above the swapped pair: nothing to do
-  }
-  std::unordered_map<const vNode*, vEdge> memo;
-  return swapAdjacentRec(state, lower, memo);
-}
-
-vEdge Package::swapAdjacentRec(const vEdge& e, Qubit lower,
-                               std::unordered_map<const vNode*, vEdge>& memo) {
-  if (e.isZero()) {
-    return vEdge::zero();
-  }
-  if (e.isTerminal() || e.n->v <= lower) {
-    return e;  // untouched strictly below the rewritten level
-  }
-  const Qubit level = e.n->v;
-  if (const auto it = memo.find(e.n); it != memo.end()) {
-    vEdge r = it->second;
-    if (r.isZero()) {
-      return vEdge::zero();
-    }
-    r.w = ctable_.lookup(r.w * e.w);
-    return r.isZero() ? vEdge::zero() : r;
-  }
-  vEdge result;
-  if (level == lower + 1) {
-    const vEdge a = e.n->e[0];
-    const vEdge b = e.n->e[1];
-    // i-child of c's level-l node, with c's weight multiplied through. No
-    // level skipping: a nonzero c points to a node at exactly `lower`.
-    const auto sub = [&](const vEdge& c, std::size_t i) -> vEdge {
-      if (c.isZero()) {
-        return vEdge::zero();
-      }
-      assert(!c.isTerminal() && c.n->v == lower);
-      vEdge child = c.n->e[i];
-      if (child.isZero()) {
-        return vEdge::zero();
-      }
-      child.w = ctable_.lookup(child.w * c.w);
-      return child.isZero() ? vEdge::zero() : child;
-    };
-    std::array<vEdge, 2> swapped;
-    for (std::size_t i = 0; i < 2; ++i) {
-      swapped[i] = makeVectorNode(lower, {sub(a, i), sub(b, i)});
-    }
-    result = makeVectorNode(level, swapped);
-  } else {
-    std::array<vEdge, 2> children;
-    for (std::size_t i = 0; i < 2; ++i) {
-      children[i] = swapAdjacentRec(e.n->e[i], lower, memo);
-    }
-    result = makeVectorNode(level, children);
-  }
-  memo.emplace(e.n, result);
-  if (result.isZero()) {
-    return vEdge::zero();
-  }
-  result.w = ctable_.lookup(result.w * e.w);
-  return result.isZero() ? vEdge::zero() : result;
-}
-
-// ---------------------------------------------------------------------------
 // Reference counting & garbage collection
 // ---------------------------------------------------------------------------
 

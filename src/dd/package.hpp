@@ -103,30 +103,6 @@ class Package {
   /// fidelity cost. The input edge is not modified.
   [[nodiscard]] vEdge approximate(const vEdge& state, fp budget);
 
-  // ---- variable reordering (the "reorder trick", arXiv:2211.07110) ---------
-  /// Exchanges the DD variables at levels `lower` and `lower + 1` of `state`
-  /// by a local node rewrite: every level-(lower+1) node is rebuilt with its
-  /// two index bits transposed, and ancestors are rebuilt (memoized) because
-  /// their children changed identity. Semantically this applies a SWAP gate
-  /// — the returned state represents the same amplitudes with the two index
-  /// bits exchanged — but costs O(live nodes at/above `lower`) instead of a
-  /// full mat-vec. The input edge is not modified and the result is
-  /// unreferenced; the caller incRefs it before the next garbageCollect().
-  /// `lower` must be in [0, numQubits() - 2].
-  [[nodiscard]] vEdge swapAdjacent(const vEdge& state, Qubit lower);
-
-  /// Monotonic count of accepted level reorderings on states of this
-  /// package. Any structure that bakes a qubit -> level mapping into flat
-  /// indices (compiled DMAV plans, span-op caches) must treat a changed
-  /// epoch as a hard invalidation: the same gate DD lowers to different
-  /// strided offsets under a different level order. Bumped by the reorder
-  /// driver (see dd/reorder.hpp), not by swapAdjacent itself — trial swaps
-  /// that are rolled back do not invalidate anything.
-  [[nodiscard]] std::uint64_t orderingEpoch() const noexcept {
-    return orderingEpoch_;
-  }
-  void bumpOrderingEpoch() noexcept { ++orderingEpoch_; }
-
   // ---- reference counting & GC ----------------------------------------------
   void incRef(const vEdge& e) noexcept { incRefNode(e.n); }
   void decRef(const vEdge& e) noexcept { decRefNode(e.n); }
@@ -231,10 +207,6 @@ class Package {
   [[nodiscard]] vEdge mulRec(const mEdge& m, const vEdge& v, Qubit level);
   [[nodiscard]] mEdge mulRec(const mEdge& a, const mEdge& b, Qubit level);
 
-  [[nodiscard]] vEdge swapAdjacentRec(
-      const vEdge& e, Qubit lower,
-      std::unordered_map<const vNode*, vEdge>& memo);
-
   void toArrayRec(const vEdge& e, Qubit level, Index offset, Complex factor,
                   std::span<Complex> out) const;
   [[nodiscard]] vEdge fromArrayRec(std::span<const Complex> amps, Qubit level);
@@ -298,7 +270,6 @@ class Package {
   std::size_t gcCollected_ = 0;
   std::size_t gcThreshold_ = 1u << 16;
   std::uint64_t mNodeGeneration_ = 0;
-  std::uint64_t orderingEpoch_ = 0;
   bool gcThresholdPinned_ = false;
   std::size_t ctableRebuildThreshold_ = 1u << 18;
 };

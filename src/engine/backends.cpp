@@ -215,14 +215,6 @@ class FlatDDBackend final : public Backend {
     report.planCompileSeconds = st.planCompileSeconds;
     report.dmavReplaySeconds = st.dmavReplaySeconds;
     report.peakDDSize = st.peakDDSize;
-    report.reorderCount = st.reorderCount;
-    report.reorderSwaps = st.reorderSwaps;
-    report.ddSizePreReorder = st.ddSizePreReorder;
-    report.ddSizePostReorder = st.ddSizePostReorder;
-    report.reorderSeconds = st.reorderSeconds;
-    if (st.reorderCount > 0) {
-      report.ordering = sim_.qubitAtLevel();
-    }
     report.dmavModelCost = st.dmavModelCost;
     report.perGate.clear();
     report.perGate.reserve(st.perGate.size());

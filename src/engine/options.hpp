@@ -42,18 +42,6 @@ struct EngineOptions {
   std::size_t ewmaMinDDSize = 64;
   std::optional<std::size_t> forceConversionAtGate;  // override the EWMA
 
-  // ---- dynamic variable reordering (flatdd backend, arXiv:2211.07110) ----
-  /// When the EWMA fires, first try a greedy adjacent-level reorder of the
-  /// state DD; if it shrinks the DD below `ddReorderKeepRatio` of its size,
-  /// stay in the DD phase (conversion deferred) — otherwise convert the
-  /// (possibly still smaller) DD.
-  bool ddReorder = false;
-  /// Cap on accepted reorders per run (each one relabels internal qubits
-  /// and invalidates compiled plans via the ordering epoch).
-  std::size_t ddMaxReorders = 4;
-  /// Conversion is cancelled when nodesAfter <= keepRatio * nodesBefore.
-  fp ddReorderKeepRatio = 0.7;
-
   // ---- DMAV caching (flatdd backend) ------------------------------------
   bool useCostModel = true;
   bool forceCaching = false;
@@ -109,9 +97,6 @@ struct EngineOptions {
     o.tolerance = tolerance;
     o.recordPerGate = recordPerGate;
     o.forceConversionAtGate = forceConversionAtGate;
-    o.ddReorder = ddReorder;
-    o.maxReorders = ddMaxReorders;
-    o.reorderKeepRatio = ddReorderKeepRatio;
     o.usePlanCache = usePlanCache;
     o.planCacheCapacity = planCacheCapacity;
     o.fuseDiagonalRuns = fuseDiagonalRuns;

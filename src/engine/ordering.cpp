@@ -293,16 +293,7 @@ class OrderedBackend final : public Backend {
 
   void fillReport(RunReport& report) const override {
     inner_->fillReport(report);
-    if (report.ordering.empty()) {
-      report.ordering = ord_.qubitAtLevel;
-    } else {
-      // The inner backend reordered dynamically over *its* labels, which
-      // are this decorator's internal levels: compose static after dynamic
-      // so the report speaks logical qubits.
-      for (Qubit& q : report.ordering) {
-        q = ord_.qubitAtLevel[static_cast<std::size_t>(q)];
-      }
-    }
+    report.ordering = ord_.qubitAtLevel;
   }
 
   [[nodiscard]] std::string exportDot() const override {

@@ -64,9 +64,9 @@ struct QubitOrdering {
 [[nodiscard]] QubitOrdering scoreOrdering(const qc::Circuit& circuit);
 
 /// Wraps `inner` so callers keep speaking logical qubit labels while the
-/// backend simulates in `ordering`'s internal order. fillReport() composes
-/// the static permutation with any dynamic reordering the inner backend
-/// reports (RunReport::ordering is always logical-qubit-at-internal-level).
+/// backend simulates in `ordering`'s internal order. fillReport() sets
+/// RunReport::ordering to the permutation (logical qubit at each internal
+/// level).
 [[nodiscard]] std::unique_ptr<Backend> makeOrderedBackend(
     std::unique_ptr<Backend> inner, QubitOrdering ordering);
 

@@ -267,10 +267,6 @@ std::string RunReport::toJson() const {
   w.field("denseBlockGates", denseBlockGates);
   w.field("peakDDSize", peakDDSize);
   w.field("dmavModelCost", dmavModelCost);
-  w.field("reorderCount", reorderCount);
-  w.field("reorderSwaps", reorderSwaps);
-  w.field("ddSizePreReorder", ddSizePreReorder);
-  w.field("ddSizePostReorder", ddSizePostReorder);
   w.field("reorderSeconds", reorderSeconds);
   w.endObject();
 
@@ -380,10 +376,6 @@ RunReport RunReport::fromJson(std::string_view text) {
       get(*c, "denseBlockGates", r.denseBlockGates);
       get(*c, "peakDDSize", r.peakDDSize);
       get(*c, "dmavModelCost", r.dmavModelCost);
-      get(*c, "reorderCount", r.reorderCount);
-      get(*c, "reorderSwaps", r.reorderSwaps);
-      get(*c, "ddSizePreReorder", r.ddSizePreReorder);
-      get(*c, "ddSizePostReorder", r.ddSizePostReorder);
       get(*c, "reorderSeconds", r.reorderSeconds);
     }
   }
@@ -494,10 +486,6 @@ std::string RunReport::toCsv() const {
   row("dense_block_gates", std::to_string(denseBlockGates));
   row("peak_dd_size", std::to_string(peakDDSize));
   row("dmav_model_cost", numberToString(dmavModelCost));
-  row("reorder_count", std::to_string(reorderCount));
-  row("reorder_swaps", std::to_string(reorderSwaps));
-  row("dd_size_pre_reorder", std::to_string(ddSizePreReorder));
-  row("dd_size_post_reorder", std::to_string(ddSizePostReorder));
   row("reorder_seconds", numberToString(reorderSeconds));
   if (!ordering.empty()) {
     std::string levels;

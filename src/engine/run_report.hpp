@@ -152,14 +152,10 @@ struct RunReport {
   double dmavModelCost = 0;           // summed Eq. 5/6 MAC estimate
 
   // ---- variable ordering ------------------------------------------------
-  /// Logical qubit at each internal level (static pass composed with any
-  /// dynamic reorders); empty when the run used the identity order.
+  /// Logical qubit at each internal level (static pass only); empty when
+  /// the run used the identity order.
   std::vector<Qubit> ordering;
-  std::size_t reorderCount = 0;       // accepted dynamic reorders (flatdd)
-  std::size_t reorderSwaps = 0;       // adjacent-level swaps kept in total
-  std::size_t ddSizePreReorder = 0;   // nodes before the first reorder
-  std::size_t ddSizePostReorder = 0;  // nodes after the last reorder
-  double reorderSeconds = 0;          // time inside the sifting passes
+  double reorderSeconds = 0;  // always 0; kept because perfbench reads it
 
   // ---- memory (bytes) ---------------------------------------------------
   std::size_t memoryBytes = 0;        // backend-accounted working set

@@ -169,22 +169,4 @@ AlignedVector<Complex> ddToArrayParallel(const dd::vEdge& state, Qubit nQubits,
   return out;
 }
 
-AlignedVector<Complex> permuteToLogical(std::span<const Complex> internal,
-                                        std::span<const Qubit> levelOfQubit,
-                                        unsigned threads) {
-  AlignedVector<Complex> out(internal.size());
-  auto& pool = par::globalPool();
-  const unsigned t = std::min<unsigned>(std::max(threads, 1u), pool.size());
-  pool.parallelFor(t, 0, internal.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      Index mapped = 0;
-      for (std::size_t q = 0; q < levelOfQubit.size(); ++q) {
-        mapped |= ((static_cast<Index>(i) >> q) & 1) << levelOfQubit[q];
-      }
-      out[i] = internal[mapped];
-    }
-  });
-  return out;
-}
-
 }  // namespace fdd::flat

@@ -33,12 +33,4 @@ ConversionStats ddToArrayParallel(const dd::vEdge& state, Qubit nQubits,
                                                        Qubit nQubits,
                                                        unsigned threads);
 
-/// Bit-permutes an internal-order amplitude array back to logical order:
-/// out[i] = internal[map(i)], where bit q of the logical index i becomes bit
-/// levelOfQubit[q] of the internal index. Used after dynamic reordering
-/// (dd::reorderGreedy) so flat-phase readout keeps speaking circuit labels.
-[[nodiscard]] AlignedVector<Complex> permuteToLogical(
-    std::span<const Complex> internal, std::span<const Qubit> levelOfQubit,
-    unsigned threads);
-
 }  // namespace fdd::flat

@@ -631,8 +631,7 @@ std::size_t DmavPlan::memoryBytes() const noexcept {
 }
 
 bool DmavPlan::validFor(const dd::Package& pkg) const noexcept {
-  return generation == pkg.mNodeGeneration() &&
-         orderingEpoch == pkg.orderingEpoch();
+  return generation == pkg.mNodeGeneration();
 }
 
 DmavPlan compileDmavPlan(const dd::mEdge& m, Qubit nQubits, unsigned threads,
@@ -648,7 +647,6 @@ DmavPlan compileDmavPlan(const dd::mEdge& m, Qubit nQubits, unsigned threads,
   plan.mode = mode;
   plan.identFast = identFastPathEnabled();
   plan.generation = pkg != nullptr ? pkg->mNodeGeneration() : 0;
-  plan.orderingEpoch = pkg != nullptr ? pkg->orderingEpoch() : 0;
   if (mode == PlanMode::Row) {
     if (const auto dense = denseBlockProbe(m, nQubits)) {
       compileDense(*dense, plan);
@@ -789,7 +787,6 @@ DmavPlan compileDiagRunPlan(std::span<const dd::mEdge> gates, Qubit nQubits,
   plan.mode = PlanMode::Row;
   plan.identFast = identFastPathEnabled();
   plan.generation = pkg != nullptr ? pkg->mNodeGeneration() : 0;
-  plan.orderingEpoch = pkg != nullptr ? pkg->orderingEpoch() : 0;
   plan.fusedGates = gates.size();
   plan.extraRoots.reserve(gates.size() - 1);
   for (std::size_t g = 1; g < gates.size(); ++g) {

@@ -177,11 +177,6 @@ struct DmavPlan {
   /// sidesteps this by pinning roots (incRef) — pinned nodes cannot be
   /// recycled — but standalone plans must re-validate with validFor().
   std::uint64_t generation = 0;
-  /// dd::Package::orderingEpoch() at compile time. A dynamic level reorder
-  /// (arXiv:2211.07110) relabels what each DD level means, so a plan from an
-  /// earlier epoch addresses the wrong amplitudes even if its pinned root
-  /// survived — validFor() rejects it and the cache recompiles.
-  std::uint64_t orderingEpoch = 0;
 
   Index dim = 0;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "dd/reorder.hpp"
 #include "flatdd/conversion.hpp"
 #include "flatdd/cost_model.hpp"
 #include "flatdd/dmav.hpp"
@@ -37,7 +36,6 @@ FlatDDSimulator::FlatDDSimulator(Qubit nQubits, FlatDDOptions options)
   // stats_ is a member, so the log vector's address is stable across reset()
   // (which assigns a fresh FlatDDStats into the same object).
   ewma_.attachLog(&stats_.ewmaLog);
-  resetOrdering();
 }
 
 FlatDDSimulator::~FlatDDSimulator() {
@@ -57,7 +55,6 @@ void FlatDDSimulator::reset() {
   }
   ddSim_.reset();
   ewma_.reset();
-  resetOrdering();
   flatPhase_ = false;
   v_.clear();
   w_.clear();
@@ -71,35 +68,38 @@ void FlatDDSimulator::setState(std::span<const Complex> amplitudes) {
   ddSim_.setState(amplitudes);
 }
 
+void FlatDDSimulator::applyDDGate(const qc::Operation& op, bool mayConvert) {
+  Stopwatch clock;
+  ddSim_.applyOperation(op);
+  const std::size_t size = ddSim_.stateNodeCount();
+  stats_.peakDDSize = std::max(stats_.peakDDSize, size);
+  ++stats_.ddGates;
+  bool trigger = ewma_.observe(size);
+  if (obs::enabled()) {
+    obs::counterEvent("dd.size", static_cast<double>(size));
+    obs::counterEvent("ewma.value", ewma_.value());
+  }
+  if (options_.forceConversionAtGate) {
+    trigger = stats_.ddGates >= *options_.forceConversionAtGate;
+  }
+  if (options_.recordPerGate) {
+    stats_.perGate.push_back(
+        PerGateRecord{stats_.ddGates - 1, true, clock.seconds(), size});
+  }
+  if (trigger && mayConvert) {
+    convertToFlat(stats_.ddGates);
+  }
+  stats_.ddPhaseSeconds += clock.seconds();
+}
+
 void FlatDDSimulator::applyOperation(const qc::Operation& op) {
   if (!flatPhase_) {
-    Stopwatch gate;
-    ddSim_.applyOperation(mapOp(op));
-    const std::size_t size = ddSim_.stateNodeCount();
-    stats_.peakDDSize = std::max(stats_.peakDDSize, size);
-    ++stats_.ddGates;
-    bool trigger = ewma_.observe(size);
-    if (obs::enabled()) {
-      obs::counterEvent("dd.size", static_cast<double>(size));
-      obs::counterEvent("ewma.value", ewma_.value());
-    }
-    if (options_.forceConversionAtGate) {
-      trigger = stats_.ddGates >= *options_.forceConversionAtGate;
-    }
-    const double seconds = gate.seconds();
-    stats_.ddPhaseSeconds += seconds;
-    if (options_.recordPerGate) {
-      stats_.perGate.push_back(
-          PerGateRecord{stats_.ddGates - 1, true, seconds, size});
-    }
-    if (trigger && !tryReorder()) {
-      convertToFlat(stats_.ddGates);
-    }
+    applyDDGate(op, true);
     return;
   }
   auto& pkg = ddSim_.package();
   Stopwatch gateClock;
-  const dd::mEdge gate = pkg.makeGateDD(mapOp(op));
+  const dd::mEdge gate = pkg.makeGateDD(op);
   pkg.incRef(gate);
   applyDmav(gate);
   pkg.decRef(gate);
@@ -122,30 +122,9 @@ void FlatDDSimulator::simulate(const qc::Circuit& circuit) {
   std::size_t i = 0;
 
   // ---- Phase 1: DD-based simulation with the EWMA monitor ----------------
-  Stopwatch ddPhase;
   for (; i < ops.size() && !flatPhase_; ++i) {
-    Stopwatch gate;
-    ddSim_.applyOperation(mapOp(ops[i]));
-    const std::size_t size = ddSim_.stateNodeCount();
-    stats_.peakDDSize = std::max(stats_.peakDDSize, size);
-    ++stats_.ddGates;
-    bool trigger = ewma_.observe(size);
-    if (obs::enabled()) {
-      obs::counterEvent("dd.size", static_cast<double>(size));
-      obs::counterEvent("ewma.value", ewma_.value());
-    }
-    if (options_.forceConversionAtGate) {
-      trigger = (i + 1 >= *options_.forceConversionAtGate);
-    }
-    if (options_.recordPerGate) {
-      stats_.perGate.push_back(
-          PerGateRecord{i, true, gate.seconds(), size});
-    }
-    if (trigger && i + 1 < ops.size() && !tryReorder()) {
-      convertToFlat(i + 1);
-    }
+    applyDDGate(ops[i], i + 1 < ops.size());
   }
-  stats_.ddPhaseSeconds += ddPhase.seconds();
   if (!flatPhase_) {
     return;  // the whole circuit stayed regular (e.g. Adder, GHZ)
   }
@@ -156,7 +135,7 @@ void FlatDDSimulator::simulate(const qc::Circuit& circuit) {
   std::vector<dd::mEdge> gates;
   gates.reserve(ops.size() - i);
   for (std::size_t g = i; g < ops.size(); ++g) {
-    const dd::mEdge m = pkg.makeGateDD(mapOp(ops[g]));
+    const dd::mEdge m = pkg.makeGateDD(ops[g]);
     pkg.incRef(m);
     gates.push_back(m);
   }
@@ -312,136 +291,24 @@ void FlatDDSimulator::applyDmav(const dd::mEdge& gate) {
   std::swap(v_, w_);
 }
 
-void FlatDDSimulator::resetOrdering() {
-  qubitAtLevel_.resize(static_cast<std::size_t>(nQubits_));
-  levelOfQubit_.resize(static_cast<std::size_t>(nQubits_));
-  for (Qubit q = 0; q < nQubits_; ++q) {
-    qubitAtLevel_[static_cast<std::size_t>(q)] = q;
-    levelOfQubit_[static_cast<std::size_t>(q)] = q;
-  }
-  reordered_ = false;
-}
-
-qc::Operation FlatDDSimulator::mapOp(const qc::Operation& op) const {
-  if (!reordered_) {
-    return op;
-  }
-  qc::Operation mapped = op;
-  mapped.target = levelOfQubit_[static_cast<std::size_t>(op.target)];
-  for (Qubit& c : mapped.controls) {
-    c = levelOfQubit_[static_cast<std::size_t>(c)];
-  }
-  std::sort(mapped.controls.begin(), mapped.controls.end());
-  return mapped;
-}
-
-Index FlatDDSimulator::mapIndex(Index logical) const noexcept {
-  if (!reordered_) {
-    return logical;
-  }
-  Index internal = 0;
-  for (std::size_t q = 0; q < levelOfQubit_.size(); ++q) {
-    internal |= ((logical >> q) & 1) << levelOfQubit_[q];
-  }
-  return internal;
-}
-
-bool FlatDDSimulator::tryReorder() {
-  // forceConversionAtGate is an ablation contract: the caller pinned the
-  // conversion gate, so the trigger must not be deflected by a reorder.
-  if (!options_.ddReorder || options_.forceConversionAtGate ||
-      stats_.reorderCount >= options_.maxReorders ||
-      ddSim_.stateNodeCount() < options_.reorderMinNodes) {
-    return false;
-  }
-  auto& pkg = ddSim_.package();
-  Stopwatch clock;
-  const dd::ReorderResult r = dd::reorderGreedy(pkg, ddSim_.state());
-  stats_.reorderSeconds += clock.seconds();
-  if (r.swaps.empty()) {
-    pkg.garbageCollect();  // rejected trial nodes are garbage now
-    return false;
-  }
-  ddSim_.replaceState(r.state);
-  for (const Qubit lower : r.swaps) {
-    std::swap(qubitAtLevel_[static_cast<std::size_t>(lower)],
-              qubitAtLevel_[static_cast<std::size_t>(lower) + 1]);
-  }
-  for (std::size_t l = 0; l < qubitAtLevel_.size(); ++l) {
-    levelOfQubit_[static_cast<std::size_t>(qubitAtLevel_[l])] =
-        static_cast<Qubit>(l);
-  }
-  reordered_ = true;
-  // Plans compiled against the old level labeling are meaningless now.
-  pkg.bumpOrderingEpoch();
-  ++stats_.reorderCount;
-  stats_.reorderSwaps += r.swaps.size();
-  if (stats_.ddSizePreReorder == 0) {
-    stats_.ddSizePreReorder = r.nodesBefore;
-  }
-  stats_.ddSizePostReorder = r.nodesAfter;
-  if (obs::enabled()) {
-    obs::counterEvent("dd.reorder.swaps",
-                      static_cast<double>(r.swaps.size()));
-    obs::Registry::instance()
-        .gauge("dd.size.pre")
-        .set(static_cast<double>(r.nodesBefore));
-    obs::Registry::instance()
-        .gauge("dd.size.post")
-        .set(static_cast<double>(r.nodesAfter));
-    obs::instantEvent("dd.reorder", static_cast<double>(r.nodesBefore),
-                      static_cast<double>(r.nodesAfter), r.swaps.size());
-  }
-  const bool keep = static_cast<fp>(r.nodesAfter) <=
-                    options_.reorderKeepRatio * static_cast<fp>(r.nodesBefore);
-  if (keep) {
-    // The DD phase continues on a much smaller DD: restart the monitor so
-    // stale pre-reorder growth history can't re-fire the trigger instantly.
-    ewma_.reset();
-  }
-  return keep;
-}
-
 Complex FlatDDSimulator::amplitude(Index i) const {
-  const Index j = mapIndex(i);
   if (flatPhase_) {
-    return v_[j];
+    return v_[i];
   }
-  return ddSim_.amplitude(j);
+  return ddSim_.amplitude(i);
 }
 
 AlignedVector<Complex> FlatDDSimulator::stateVector() const {
-  AlignedVector<Complex> internal =
-      flatPhase_ ? v_
-                 : ddToArrayParallel(ddSim_.state(), nQubits_,
-                                     options_.threads);
-  if (!reordered_) {
-    return internal;
+  if (flatPhase_) {
+    return v_;
   }
-  return permuteToLogical(internal, levelOfQubit_, options_.threads);
+  return ddToArrayParallel(ddSim_.state(), nQubits_, options_.threads);
 }
 
 std::vector<Index> FlatDDSimulator::sample(std::size_t shots,
                                            Xoshiro256& rng) const {
-  // Both paths sample internal-order indices; unmap each outcome's bits
-  // back to logical labels when a reorder happened.
-  const auto unmap = [this](Index internal) {
-    if (!reordered_) {
-      return internal;
-    }
-    Index logical = 0;
-    for (std::size_t l = 0; l < qubitAtLevel_.size(); ++l) {
-      logical |= ((internal >> l) & 1) << qubitAtLevel_[l];
-    }
-    return logical;
-  };
   if (!flatPhase_) {
-    std::vector<Index> out =
-        ddSim_.package().sample(ddSim_.state(), shots, rng);
-    for (Index& s : out) {
-      s = unmap(s);
-    }
-    return out;
+    return ddSim_.sample(shots, rng);
   }
   // Cumulative distribution + binary search: O(2^n) setup, O(log 2^n)/shot.
   std::vector<fp> cdf(v_.size());
@@ -455,10 +322,10 @@ std::vector<Index> FlatDDSimulator::sample(std::size_t shots,
   for (std::size_t s = 0; s < shots; ++s) {
     const fp r = rng.uniform() * acc;
     const auto it = std::upper_bound(cdf.begin(), cdf.end(), r);
-    out.push_back(unmap(static_cast<Index>(
+    out.push_back(static_cast<Index>(
         std::min<std::ptrdiff_t>(it - cdf.begin(),
                                  static_cast<std::ptrdiff_t>(cdf.size()) -
-                                     1))));
+                                     1)));
   }
   return out;
 }

@@ -45,18 +45,9 @@ struct FlatDDOptions {
   Index parallelThresholdDim = kParallelThresholdDim;
   fp tolerance = 1e-10;
   bool recordPerGate = false;      // keep a per-gate trace (Fig. 11)
-  std::optional<std::size_t> forceConversionAtGate;  // override the EWMA
-  /// The "reorder trick" (arXiv:2211.07110): when the EWMA fires, greedily
-  /// sift adjacent DD levels (dd::reorderGreedy) before converting. If the
-  /// reordered DD shrinks to <= reorderKeepRatio of its size the conversion
-  /// is cancelled and the DD phase continues under the new internal order;
-  /// otherwise the (still possibly smaller) DD converts immediately.
-  /// Ignored when forceConversionAtGate is set — a forced conversion point
-  /// is an ablation contract the reorder must not disturb.
-  bool ddReorder = false;
-  std::size_t maxReorders = 4;   // accepted reorders per run
-  fp reorderKeepRatio = 0.7;     // cancel conversion when post <= ratio*pre
-  std::size_t reorderMinNodes = 256;  // don't bother sifting tiny DDs
+  /// Override the EWMA: convert once this many gates (counted across
+  /// applyOperation() and simulate() calls since reset()) ran in DD.
+  std::optional<std::size_t> forceConversionAtGate{};
   /// Execute DMAV through compiled plans from a bounded LRU cache (see
   /// dmav_plan.hpp / plan_cache.hpp). Off = the pre-plan recursive path
   /// (Alg. 1/2 verbatim), kept for ablation benchmarks.
@@ -104,11 +95,6 @@ struct FlatDDStats {
   double planCompileSeconds = 0;    // time spent lowering DDs to plans
   double dmavReplaySeconds = 0;     // time spent replaying compiled plans
   std::size_t peakDDSize = 0;
-  std::size_t reorderCount = 0;        // accepted dynamic reorders
-  std::size_t reorderSwaps = 0;        // adjacent-level swaps kept in total
-  std::size_t ddSizePreReorder = 0;    // node count before the first reorder
-  std::size_t ddSizePostReorder = 0;   // node count after the last reorder
-  double reorderSeconds = 0;           // time inside dd::reorderGreedy
   fp dmavModelCost = 0;  // sum of Section 3.2.3 costs over applied matrices
                          // (the "Cost" column of Table 2)
   std::vector<PerGateRecord> perGate;
@@ -146,6 +132,9 @@ class FlatDDSimulator {
 
   /// Runs the full circuit from the current state (use reset() between
   /// runs); applies the configured fusion pass at the conversion point.
+  /// Gate indices (conversion point, per-gate trace, forced conversion)
+  /// count on from earlier calls, so a circuit fed in chunks reports what
+  /// one call would. The last gate of a call never converts.
   void simulate(const qc::Circuit& circuit);
 
   /// Amplitude of basis state i — answered from whichever representation
@@ -163,41 +152,22 @@ class FlatDDSimulator {
 
   [[nodiscard]] const FlatDDStats& stats() const noexcept { return stats_; }
 
-  /// Internal-level -> logical-qubit map after dynamic reorders (identity
-  /// until the first accepted reorder). amplitude()/stateVector()/sample()
-  /// already answer in logical order; this is for reports.
-  [[nodiscard]] const std::vector<Qubit>& qubitAtLevel() const noexcept {
-    return qubitAtLevel_;
-  }
-
   /// Approximate working-set bytes (DD package + flat vectors + workspace).
   [[nodiscard]] std::size_t memoryBytes() const;
 
  private:
+  /// One DD-phase gate: apply it, feed the EWMA, record it, and convert
+  /// when the trigger fires and `mayConvert`. ddPhaseSeconds includes the
+  /// conversion.
+  void applyDDGate(const qc::Operation& op, bool mayConvert);
   void convertToFlat(std::size_t gateIndex);
   void applyDmav(const dd::mEdge& gate);
   void applyDmavDiagRun(std::span<const dd::mEdge> run);
-
-  /// Relabels a gate into the current internal order (no-op until the first
-  /// accepted reorder).
-  [[nodiscard]] qc::Operation mapOp(const qc::Operation& op) const;
-  /// Logical index -> internal index under the current dynamic order.
-  [[nodiscard]] Index mapIndex(Index logical) const noexcept;
-  /// Runs the reorder trick at an EWMA trigger. Returns true when the
-  /// shrink was good enough to cancel the conversion.
-  bool tryReorder();
-  void resetOrdering();
 
   Qubit nQubits_;
   FlatDDOptions options_;
   sim::DDSimulator ddSim_;
   EwmaMonitor ewma_;
-
-  // Dynamic variable order: internal level l holds logical qubit
-  // qubitAtLevel_[l]. reordered_ keeps the hot path branch-cheap.
-  std::vector<Qubit> qubitAtLevel_;
-  std::vector<Qubit> levelOfQubit_;
-  bool reordered_ = false;
 
   bool flatPhase_ = false;
   AlignedVector<Complex> v_;  // current state (flat phase)

@@ -37,7 +37,6 @@ std::size_t PlanCache::KeyHash::operator()(const Key& k) const noexcept {
                         k.threads));
   hashCombine(seed, static_cast<std::size_t>(k.mode));
   hashCombine(seed, k.identFast ? 1u : 0u);
-  hashCombine(seed, std::hash<std::uint64_t>{}(k.epoch));
   for (const RunGate& g : k.run) {
     hashCombine(seed, std::hash<const void*>{}(g.n));
     hashCombine(seed, std::hash<std::uint64_t>{}(g.wBits[0]));
@@ -58,7 +57,6 @@ std::shared_ptr<const DmavPlan> PlanCache::getShared(
   key.threads = threads;
   key.mode = mode;
   key.identFast = identFastPathEnabled();
-  key.epoch = pkg.orderingEpoch();
   return getCommon(pkg, std::move(key), wasHit, [&] {
     return compileDmavPlan(m, nQubits, threads, mode, &pkg);
   });
@@ -77,7 +75,6 @@ std::shared_ptr<const DmavPlan> PlanCache::getSharedRun(
   key.threads = threads;
   key.mode = PlanMode::Row;
   key.identFast = identFastPathEnabled();
-  key.epoch = pkg.orderingEpoch();
   key.run.reserve(run.size() - 1);
   for (std::size_t g = 1; g < run.size(); ++g) {
     key.run.push_back(RunGate{

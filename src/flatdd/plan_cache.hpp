@@ -128,12 +128,6 @@ class PlanCache {
     unsigned threads = 0;
     PlanMode mode = PlanMode::Row;
     bool identFast = true;
-    /// Package ordering epoch at compile time. A dynamic reorder relabels
-    /// the package's levels, so a (root, weight)-identical gate DD built
-    /// after it addresses different amplitudes — the epoch keeps pre- and
-    /// post-reorder plans from aliasing (the mNode-generation guard alone
-    /// only covers GC recycling).
-    std::uint64_t epoch = 0;
     std::vector<RunGate> run;  // gates 2..k of a fused run (else empty)
 
     bool operator==(const Key&) const = default;

@@ -469,11 +469,6 @@ std::string Service::dispatch(std::string_view line,
     if (getBool(obj, "ordering")) {
       cfg.engine.passes.emplace_back("ordering");
     }
-    // "dd_reorder": true enables the dynamic reorder trick at the flatdd
-    // backend's EWMA trigger (no-op on other backends).
-    if (getBool(obj, "dd_reorder")) {
-      cfg.engine.ddReorder = true;
-    }
     const std::shared_ptr<Session> session = manager_.open(std::move(cfg));
     json::Writer w;
     w.beginObject();

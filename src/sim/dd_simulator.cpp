@@ -41,13 +41,6 @@ void DDSimulator::applyOperation(const qc::Operation& op) {
   pkg_->garbageCollect();
 }
 
-void DDSimulator::replaceState(const dd::vEdge& next) {
-  pkg_->incRef(next);
-  pkg_->decRef(root_);
-  root_ = next;
-  pkg_->garbageCollect();
-}
-
 void DDSimulator::releaseState() {
   pkg_->decRef(root_);
   root_ = pkg_->makeZeroState();

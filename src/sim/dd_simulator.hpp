@@ -34,12 +34,6 @@ class DDSimulator {
   /// the (potentially huge) irregular DD stops occupying memory.
   void releaseState();
 
-  /// Swaps the root for an equivalent state produced outside the simulator
-  /// (e.g. dd::reorderGreedy): references the new edge, releases the old
-  /// one, and lets the package collect the difference. Does not count as a
-  /// gate.
-  void replaceState(const dd::vEdge& next);
-
   [[nodiscard]] const dd::vEdge& state() const noexcept { return root_; }
   [[nodiscard]] dd::Package& package() noexcept { return *pkg_; }
   [[nodiscard]] const dd::Package& package() const noexcept { return *pkg_; }

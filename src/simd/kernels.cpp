@@ -268,6 +268,9 @@ void denseColumns(Complex* const* out, const Complex* const* in,
 }
 
 void zeroFill(Complex* out, std::size_t n) noexcept {
+  if (n == 0) {
+    return;  // `out` may be null for an empty range; memset must not see it
+  }
   std::memset(static_cast<void*>(out), 0, n * sizeof(Complex));
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 
 #include "circuits/generators.hpp"
@@ -179,6 +180,59 @@ TEST(FlatDD, PerGateTraceCoversAllGates) {
       EXPECT_GT(rec.ddSize, 0u);
     }
     EXPECT_GE(rec.seconds, 0.0);
+  }
+}
+
+TEST(FlatDD, ChunkedRunsReportCumulativeGateIndices) {
+  // A circuit fed in chunks (as the engine's apply does) must report what
+  // one call would: the forced conversion point, conversionGateIndex and the
+  // per-gate trace all count gates across calls. Streaming runs the same
+  // check through applyOperation.
+  const auto circuit = circuits::randomUniversal(10, 150, 3);
+  const Qubit n = circuit.numQubits();
+  const auto& ops = circuit.operations();
+  const auto array = engine::BackendFactory::instance().create("array", n, {});
+  array->simulate(circuit);
+
+  FlatDDOptions opt;
+  opt.threads = 1;
+  opt.recordPerGate = true;
+  opt.forceConversionAtGate = 70;
+  for (const std::size_t chunk : {std::size_t{150}, std::size_t{50},
+                                  std::size_t{0}}) {
+    SCOPED_TRACE(chunk == 0 ? "streaming" : "chunk " + std::to_string(chunk));
+    FlatDDSimulator flat{n, opt};
+    if (chunk == 0) {
+      for (const auto& op : ops) {
+        flat.applyOperation(op);
+      }
+    } else {
+      for (std::size_t lo = 0; lo < ops.size(); lo += chunk) {
+        qc::Circuit part{n};
+        for (std::size_t g = lo; g < std::min(lo + chunk, ops.size()); ++g) {
+          part.append(ops[g]);
+        }
+        flat.simulate(part);
+      }
+    }
+    const FlatDDStats& s = flat.stats();
+    EXPECT_TRUE(s.converted);
+    EXPECT_EQ(s.conversionGateIndex, 70u);
+    EXPECT_EQ(s.ddGates, 70u);
+    EXPECT_EQ(s.ddGates + s.dmavGates, ops.size());
+    std::vector<int> seen(ops.size(), 0);
+    for (const auto& rec : s.perGate) {
+      ASSERT_LT(rec.gateIndex, ops.size());
+      ++seen[rec.gateIndex];
+      EXPECT_EQ(rec.inDDPhase, rec.gateIndex < 70u) << "gate " << rec.gateIndex;
+    }
+    for (std::size_t g = 0; g < seen.size(); ++g) {
+      EXPECT_EQ(seen[g], 1) << "gate " << g;
+    }
+    for (Index i = 0; i < (Index{1} << n); ++i) {
+      ASSERT_LT(std::abs(flat.amplitude(i) - array->amplitude(i)), 1e-10)
+          << "amplitude " << i;
+    }
   }
 }
 

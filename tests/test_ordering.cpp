@@ -1,8 +1,7 @@
-// Variable ordering: the scored static pass (engine/ordering), the
-// adjacent-level swap primitive and greedy sifting (dd/reorder), the dynamic
-// reorder trick inside FlatDD, and the plan-cache ordering-epoch guard.
-// Equivalence is always judged in logical qubit labels — the whole point of
-// the subsystem is that callers never see internal order.
+// Variable ordering: the scored static pass (engine/ordering) and the
+// ordered-backend decorator. Equivalence is always judged in logical qubit
+// labels — the whole point of the subsystem is that callers never see
+// internal order.
 
 #include <gtest/gtest.h>
 
@@ -10,14 +9,9 @@
 #include <cmath>
 #include <set>
 
-#include "dd/package.hpp"
-#include "dd/reorder.hpp"
 #include "engine/ordering.hpp"
 #include "engine/simulation_engine.hpp"
-#include "flatdd/flatdd_simulator.hpp"
-#include "flatdd/plan_cache.hpp"
 #include "helpers.hpp"
-#include "sim/dd_simulator.hpp"
 
 namespace fdd {
 namespace {
@@ -122,88 +116,6 @@ TEST(ScoreOrdering, NoTwoQubitGatesMeansIdentity) {
   EXPECT_TRUE(engine::scoreOrdering(c).isIdentity());
 }
 
-// ---- adjacent-level swap primitive ----------------------------------------
-
-TEST(SwapAdjacent, MatchesBitSwappedAmplitudes) {
-  const Qubit n = 5;
-  sim::DDSimulator sim{n};
-  sim.simulate(test::randomCircuit(n, 40, 11));
-  auto& pkg = sim.package();
-  const auto before = pkg.toArray(sim.state());
-  for (Qubit lower = 0; lower + 1 < n; ++lower) {
-    const dd::vEdge swapped = pkg.swapAdjacent(sim.state(), lower);
-    EXPECT_TRUE(pkg.checkCanonical());
-    const auto after = pkg.toArray(swapped);
-    for (Index i = 0; i < before.size(); ++i) {
-      const Index lo = (i >> lower) & 1;
-      const Index hi = (i >> (lower + 1)) & 1;
-      const Index j = (i & ~((Index{3}) << lower)) | (hi << lower) |
-                      (lo << (lower + 1));
-      EXPECT_LT(std::abs(before[i] - after[j]), 1e-12)
-          << "level " << int(lower) << " index " << i;
-    }
-  }
-}
-
-TEST(SwapAdjacent, IsAnInvolution) {
-  const Qubit n = 6;
-  sim::DDSimulator sim{n};
-  sim.simulate(test::randomCircuit(n, 60, 23));
-  auto& pkg = sim.package();
-  const auto reference = pkg.toArray(sim.state());
-  for (Qubit lower = 0; lower + 1 < n; ++lower) {
-    const dd::vEdge once = pkg.swapAdjacent(sim.state(), lower);
-    const dd::vEdge twice = pkg.swapAdjacent(once, lower);
-    EXPECT_TRUE(pkg.checkCanonical());
-    const auto roundTrip = pkg.toArray(twice);
-    for (Index i = 0; i < reference.size(); ++i) {
-      EXPECT_LT(std::abs(reference[i] - roundTrip[i]), 1e-12);
-    }
-  }
-}
-
-// ---- greedy sifting --------------------------------------------------------
-
-TEST(ReorderGreedy, ShrinksBellCrossedAndPreservesTheState) {
-  const Qubit n = 10;
-  sim::DDSimulator sim{n};
-  sim.simulate(bellCrossed(n));
-  auto& pkg = sim.package();
-  const auto before = pkg.toArray(sim.state());
-  const std::size_t nodesBefore = pkg.nodeCount(sim.state());
-
-  const dd::ReorderResult r = dd::reorderGreedy(pkg, sim.state());
-  EXPECT_EQ(r.nodesBefore, nodesBefore);
-  EXPECT_LT(r.nodesAfter, nodesBefore / 2) << "identity order should be far "
-                                              "from optimal for bell-crossed";
-  EXPECT_FALSE(r.swaps.empty());
-
-  // Replay the accepted swap list on the qubit labels and check the
-  // reordered DD holds exactly the bit-permuted amplitudes.
-  std::vector<Qubit> qubitAtLevel(n);
-  for (Qubit q = 0; q < n; ++q) {
-    qubitAtLevel[static_cast<std::size_t>(q)] = q;
-  }
-  for (const Qubit lower : r.swaps) {
-    std::swap(qubitAtLevel[static_cast<std::size_t>(lower)],
-              qubitAtLevel[static_cast<std::size_t>(lower) + 1]);
-  }
-  std::vector<Qubit> levelOfQubit(n);
-  for (std::size_t l = 0; l < qubitAtLevel.size(); ++l) {
-    levelOfQubit[static_cast<std::size_t>(qubitAtLevel[l])] =
-        static_cast<Qubit>(l);
-  }
-  const auto after = pkg.toArray(r.state);
-  for (Index i = 0; i < before.size(); ++i) {
-    Index mapped = 0;
-    for (std::size_t q = 0; q < levelOfQubit.size(); ++q) {
-      mapped |= ((i >> q) & 1) << levelOfQubit[q];
-    }
-    EXPECT_LT(std::abs(before[i] - after[mapped]), 1e-12) << "index " << i;
-  }
-  EXPECT_TRUE(pkg.checkCanonical());
-}
-
 // ---- static ordering pass, cross-backend equivalence -----------------------
 
 TEST(OrderingPass, ReportsThePermutationAndKeepsAmplitudes) {
@@ -290,127 +202,17 @@ TEST(OrderingPass, SamplesLandOnLogicalSupport) {
   }
 }
 
-// ---- dynamic reorder inside FlatDD ----------------------------------------
-
-TEST(DynamicReorder, FlatDDStaysCorrectAndCountsReorders) {
-  const Qubit n = 8;
-  const qc::Circuit circuit = bellCrossed(n);
-  const auto dense = denseSimulate(circuit);
-
-  flat::FlatDDOptions o;
-  o.threads = 2;
-  o.ddReorder = true;
-  o.reorderMinNodes = 4;   // tiny DDs still qualify
-  o.warmupGates = 2;       // let the EWMA fire early
-  o.minDDSize = 1;
-  o.epsilon = 1.01;
-  flat::FlatDDSimulator sim{n, o};
-  sim.simulate(circuit);
-
-  EXPECT_GE(sim.stats().reorderCount, 1u)
-      << "bell-crossed growth should have triggered at least one reorder";
-  EXPECT_GT(sim.stats().reorderSwaps, 0u);
-  EXPECT_LT(sim.stats().ddSizePostReorder, sim.stats().ddSizePreReorder);
-  EXPECT_STATE_NEAR(sim.stateVector(), dense, 1e-12);
-  for (const Index probe : {Index{0}, Index{3}, (Index{1} << n) - 1}) {
-    EXPECT_LT(std::abs(sim.amplitude(probe) - dense[probe]), 1e-12);
-  }
-}
-
-TEST(DynamicReorder, StreamingAndRandomCircuitsMatchDenseReference) {
-  const Qubit n = 6;
-  for (const std::uint64_t seed : {5u, 31u}) {
-    const qc::Circuit circuit = test::randomCircuit(n, 60, seed);
-    const auto dense = denseSimulate(circuit);
-    flat::FlatDDOptions o;
-    o.threads = 2;
-    o.ddReorder = true;
-    o.reorderMinNodes = 2;
-    o.warmupGates = 2;
-    o.minDDSize = 1;
-    flat::FlatDDSimulator sim{n, o};
-    for (const auto& op : circuit) {
-      sim.applyOperation(op);  // streaming path remaps per gate
-    }
-    EXPECT_STATE_NEAR(sim.stateVector(), dense, 1e-10) << "seed " << seed;
-  }
-}
-
-TEST(DynamicReorder, SampleUnmapsToLogicalLabels) {
-  const Qubit n = 8;
-  flat::FlatDDOptions o;
-  o.ddReorder = true;
-  o.reorderMinNodes = 4;
-  o.warmupGates = 2;
-  o.minDDSize = 1;
-  o.epsilon = 1.01;
-  flat::FlatDDSimulator sim{n, o};
-  const qc::Circuit circuit = bellCrossed(n);
-  sim.simulate(circuit);
-  const auto dense = denseSimulate(circuit);
-  Xoshiro256 rng{7};
-  for (const Index s : sim.sample(128, rng)) {
-    EXPECT_GT(std::abs(dense[s]), 1e-9) << "sampled zero-amplitude state " << s;
-  }
-}
-
-TEST(DynamicReorder, ForcedConversionPointDisablesTheTrick) {
-  const Qubit n = 6;
-  flat::FlatDDOptions o;
-  o.ddReorder = true;
-  o.reorderMinNodes = 1;
-  o.forceConversionAtGate = 5;
-  flat::FlatDDSimulator sim{n, o};
-  sim.simulate(test::randomCircuit(n, 30, 9));
-  EXPECT_EQ(sim.stats().reorderCount, 0u);
-  EXPECT_TRUE(sim.stats().converted);
-  EXPECT_EQ(sim.stats().conversionGateIndex, 5u);
-}
-
-// ---- plan-cache ordering epoch --------------------------------------------
-
-TEST(PlanCacheEpoch, BumpingTheEpochForcesRecompile) {
-  const Qubit n = 4;
-  dd::Package pkg{n};
-  const dd::mEdge gate = pkg.makeGateDD(qc::Operation{qc::GateKind::H, 1, {}, {}});
-  pkg.incRef(gate);
-
-  flat::PlanCache cache{8};
-  bool wasHit = true;
-  const auto first =
-      cache.getShared(pkg, gate, n, 1, flat::PlanMode::Row, &wasHit);
-  EXPECT_FALSE(wasHit);
-  EXPECT_TRUE(first->validFor(pkg));
-
-  (void)cache.getShared(pkg, gate, n, 1, flat::PlanMode::Row, &wasHit);
-  EXPECT_TRUE(wasHit) << "same epoch must hit";
-
-  pkg.bumpOrderingEpoch();
-  EXPECT_FALSE(first->validFor(pkg))
-      << "plans from an earlier ordering epoch must be invalid";
-  const auto second =
-      cache.getShared(pkg, gate, n, 1, flat::PlanMode::Row, &wasHit);
-  EXPECT_FALSE(wasHit) << "new epoch must recompile, not alias the old key";
-  EXPECT_TRUE(second->validFor(pkg));
-  pkg.decRef(gate);
-}
-
 // ---- report round-trip -----------------------------------------------------
 
 TEST(OrderingReport, JsonAndCsvCarryTheNewFields) {
   engine::RunReport r;
   r.backend = "flatdd";
   r.ordering = {2, 0, 1};
-  r.reorderCount = 2;
-  r.reorderSwaps = 5;
-  r.ddSizePreReorder = 900;
-  r.ddSizePostReorder = 120;
   r.reorderSeconds = 0.25;
   const engine::RunReport parsed = engine::RunReport::fromJson(r.toJson());
   EXPECT_EQ(parsed, r);
   const std::string csv = r.toCsv();
-  EXPECT_NE(csv.find("reorder_count,2"), std::string::npos);
-  EXPECT_NE(csv.find("dd_size_pre_reorder,900"), std::string::npos);
+  EXPECT_NE(csv.find("reorder_seconds,0.25"), std::string::npos);
   EXPECT_NE(csv.find("ordering,2 0 1"), std::string::npos);
 }
 

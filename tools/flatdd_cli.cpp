@@ -46,7 +46,6 @@ struct CliOptions {
   std::size_t top = 8;
   bool stats = false;
   bool planCache = true;
-  bool ddReorder = false;
   bool obs = false;  // metrics without trace export
   std::string reportJson;
   std::string reportCsv;
@@ -79,8 +78,6 @@ execution:
                      ordering, optimize, fusion-dmav, fusion-kops
   --optimize         shorthand for appending the "optimize" pass
   --fusion MODE      none | dmav | kops — shorthand for the fusion-* passes
-  --dd-reorder       sift adjacent DD levels at the EWMA trigger (flatdd):
-                     a good-enough shrink defers the conversion
 
 output:
   --shots N          sample N measurements from the final state
@@ -210,12 +207,6 @@ void printStats(const engine::RunReport& report) {
     }
     std::printf("\n");
   }
-  if (report.reorderCount > 0) {
-    std::printf(
-        "reorders: %zu (%zu swaps kept), DD %zu -> %zu nodes in %.3f ms\n",
-        report.reorderCount, report.reorderSwaps, report.ddSizePreReorder,
-        report.ddSizePostReorder, report.reorderSeconds * 1e3);
-  }
   if (!report.ordering.empty()) {
     std::printf("ordering (top level first):");
     for (std::size_t l = report.ordering.size(); l-- > 0;) {
@@ -277,7 +268,6 @@ int runCli(const CliOptions& opt) {
     par::resizePool(eo.threads);
   }
   eo.passes = opt.passes;
-  eo.ddReorder = opt.ddReorder;
   eo.seed = opt.seed;  // stamped into the report; derives the sampling rng
   eo.recordPerGate = !opt.traceCsv.empty();
   eo.usePlanCache = opt.planCache;
@@ -400,8 +390,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--optimize") {
       opt.passes.emplace_back("optimize");
-    } else if (arg == "--dd-reorder") {
-      opt.ddReorder = true;
     } else if (arg == "--fusion") {
       const std::string mode = need(i);
       if (mode == "dmav") {
