@@ -160,11 +160,6 @@ void Package::garbageCollect(bool force) {
   const std::size_t mCollected = mUnique_.collect(
       mPool_, [](const mEdge& child) { decRefNode(child.n); });
   gcCollected_ += vCollected + mCollected;
-  if (mCollected > 0) {
-    // Released mNode addresses will be recycled; invalidate anything keyed
-    // by raw matrix-node pointers (see mNodeGeneration()).
-    ++mNodeGeneration_;
-  }
 
   // Cached results may reference reclaimed nodes.
   vAddTable_.flush();

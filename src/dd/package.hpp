@@ -113,15 +113,6 @@ class Package {
   /// `force`). Never call while operation intermediates are unprotected.
   void garbageCollect(bool force = false);
 
-  /// Incremented every time garbageCollect() actually releases matrix nodes
-  /// back to the pool. Released mNode addresses are recycled, so any
-  /// structure keyed by a raw mNode* (e.g. a compiled DmavPlan) is only
-  /// trustworthy while this counter is unchanged — unless the node is pinned
-  /// with incRef, which makes it ineligible for collection.
-  [[nodiscard]] std::uint64_t mNodeGeneration() const noexcept {
-    return mNodeGeneration_;
-  }
-
   // ---- export / import -------------------------------------------------------
   /// Sequential DD-to-array conversion (the DDSIM baseline of Fig. 13).
   /// `out` must have size 2^numQubits().
@@ -269,7 +260,6 @@ class Package {
   std::size_t gcRuns_ = 0;
   std::size_t gcCollected_ = 0;
   std::size_t gcThreshold_ = 1u << 16;
-  std::uint64_t mNodeGeneration_ = 0;
   bool gcThresholdPinned_ = false;
   std::size_t ctableRebuildThreshold_ = 1u << 18;
 };

@@ -48,18 +48,13 @@ struct EngineOptions {
   unsigned kOperations = 4;  // k for the "fusion-kops" pass
 
   // ---- DMAV plan compiler (flatdd backend) ------------------------------
-  /// Execute DMAV through compiled plans from a bounded LRU cache; off
-  /// selects the pre-plan recursive path (for ablation benchmarks).
+  /// Execute DMAV through compiled plans from the backend's own bounded LRU
+  /// cache (flat::kPlanCacheCapacity plans); off selects the pre-plan
+  /// recursive path (for ablation benchmarks).
   bool usePlanCache = true;
-  std::size_t planCacheCapacity = 64;
   /// Collapse runs of consecutive diagonal gates into one fused DiagRun
   /// sweep during the DMAV phase (simulate() only; requires usePlanCache).
   bool fuseDiagonalRuns = true;
-  /// When set, the flatdd backend compiles/replays through this externally
-  /// owned PlanCache instead of a private one — the service shares one cache
-  /// (and one capacity budget) across all sessions. Must outlive the
-  /// backend; see plan_cache.hpp for the sharing contract.
-  flat::PlanCache* sharedPlanCache = nullptr;
 
   // ---- reporting --------------------------------------------------------
   /// Record a per-gate (index, phase, seconds, DD size) trace in the
@@ -98,9 +93,7 @@ struct EngineOptions {
     o.recordPerGate = recordPerGate;
     o.forceConversionAtGate = forceConversionAtGate;
     o.usePlanCache = usePlanCache;
-    o.planCacheCapacity = planCacheCapacity;
     o.fuseDiagonalRuns = fuseDiagonalRuns;
-    o.sharedPlanCache = sharedPlanCache;
     // The fusion stage is declared as a pipeline pass; the last fusion-*
     // entry wins (they configure the same conversion-point stage).
     o.fusion = flat::FusionMode::None;

@@ -122,7 +122,7 @@ void dmavRecursive(const dd::mEdge& m, Qubit nQubits,
 void dmav(const dd::mEdge& m, Qubit nQubits, std::span<const Complex> v,
           std::span<Complex> w, unsigned threads) {
   const DmavPlan plan =
-      compileDmavPlan(m, nQubits, threads, PlanMode::Row, nullptr);
+      compileDmavPlan(m, nQubits, threads, PlanMode::Row);
   replayPlan(plan, v, w);
 }
 

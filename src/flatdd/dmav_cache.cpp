@@ -223,7 +223,7 @@ DmavCacheStats dmavCached(const dd::mEdge& m, Qubit nQubits,
                           std::span<const Complex> v, std::span<Complex> w,
                           unsigned threads, DmavWorkspace& workspace) {
   const DmavPlan plan =
-      compileDmavPlan(m, nQubits, threads, PlanMode::Cached, nullptr);
+      compileDmavPlan(m, nQubits, threads, PlanMode::Cached);
   return replayPlanCached(plan, v, w, workspace);
 }
 

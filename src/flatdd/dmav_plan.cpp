@@ -10,7 +10,6 @@
 
 #include "common/bits.hpp"
 #include "common/timing.hpp"
-#include "dd/package.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "simd/kernels.hpp"
@@ -622,7 +621,6 @@ std::size_t DmavPlan::memoryBytes() const noexcept {
     bytes += bufs.capacity() * sizeof(unsigned);
   }
   bytes += diag.capacity() * sizeof(Complex);
-  bytes += extraRoots.capacity() * sizeof(extraRoots[0]);
   for (const auto& chunks : denseOpsOf) {
     bytes += chunks.capacity() * sizeof(DenseBlockOp);
   }
@@ -630,23 +628,16 @@ std::size_t DmavPlan::memoryBytes() const noexcept {
   return bytes;
 }
 
-bool DmavPlan::validFor(const dd::Package& pkg) const noexcept {
-  return generation == pkg.mNodeGeneration();
-}
-
 DmavPlan compileDmavPlan(const dd::mEdge& m, Qubit nQubits, unsigned threads,
-                         PlanMode mode, const dd::Package* pkg) {
+                         PlanMode mode) {
   FDD_TIMED_SCOPE("plan.compile");
   Stopwatch clock;
   DmavPlan plan;
-  plan.root = m.n;
-  plan.rootWeight = m.w;
   plan.nQubits = nQubits;
   plan.dim = Index{1} << nQubits;
   plan.threads = clampDmavThreads(nQubits, plan.dim == 1 ? 1 : threads);
   plan.mode = mode;
   plan.identFast = identFastPathEnabled();
-  plan.generation = pkg != nullptr ? pkg->mNodeGeneration() : 0;
   if (mode == PlanMode::Row) {
     if (const auto dense = denseBlockProbe(m, nQubits)) {
       compileDense(*dense, plan);
@@ -774,24 +765,17 @@ std::optional<DenseGateInfo> denseBlockProbe(const dd::mEdge& m,
 }
 
 DmavPlan compileDiagRunPlan(std::span<const dd::mEdge> gates, Qubit nQubits,
-                            unsigned threads, const dd::Package* pkg) {
+                            unsigned threads) {
   assert(!gates.empty());
   FDD_TIMED_SCOPE("plan.compileDiagRun");
   Stopwatch clock;
   DmavPlan plan;
-  plan.root = gates[0].n;
-  plan.rootWeight = gates[0].w;
   plan.nQubits = nQubits;
   plan.dim = Index{1} << nQubits;
   plan.threads = clampDmavThreads(nQubits, plan.dim == 1 ? 1 : threads);
   plan.mode = PlanMode::Row;
   plan.identFast = identFastPathEnabled();
-  plan.generation = pkg != nullptr ? pkg->mNodeGeneration() : 0;
   plan.fusedGates = gates.size();
-  plan.extraRoots.reserve(gates.size() - 1);
-  for (std::size_t g = 1; g < gates.size(); ++g) {
-    plan.extraRoots.emplace_back(gates[g].n, gates[g].w);
-  }
 
   plan.diag.resize(plan.dim);
   writeDiagRec(gates[0], nQubits - 1, 0, Complex{1.0}, plan.diag.data());

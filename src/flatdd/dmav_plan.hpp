@@ -71,10 +71,6 @@
 #include "flatdd/dmav.hpp"
 #include "flatdd/dmav_cache.hpp"
 
-namespace fdd::dd {
-class Package;
-}
-
 namespace fdd::flat {
 
 enum class SpanOpKind : std::uint8_t {
@@ -162,30 +158,20 @@ enum class PlanMode : std::uint8_t {
   Cached,  // Algorithm 2 (column space, sub-product reuse, buffer reduce)
 };
 
+/// A compiled gate: self-contained op streams holding no DD pointers, so a
+/// plan stays replayable whatever happens to the gate DD it came from.
 struct DmavPlan {
-  // ---- identity of the compiled function --------------------------------
-  const dd::mNode* root = nullptr;
-  Complex rootWeight{};
+  // ---- shape of the compiled function -----------------------------------
   Qubit nQubits = 0;
   unsigned threads = 1;  // clamped; width of every replay
   PlanMode mode = PlanMode::Row;
   bool identFast = true;  // identity-subtree lowering was enabled
-  /// dd::Package::mNodeGeneration() at compile time (0 when compiled without
-  /// a package). A plan keyed by (root, weight) is only trustworthy while no
-  /// mNode has been recycled since: the arena reuses addresses, so after a
-  /// collection the same pointer may denote a different matrix. PlanCache
-  /// sidesteps this by pinning roots (incRef) — pinned nodes cannot be
-  /// recycled — but standalone plans must re-validate with validFor().
-  std::uint64_t generation = 0;
 
   Index dim = 0;
 
   /// Gates collapsed into this plan: 1 for single-gate plans, the run length
   /// for compileDiagRunPlan.
   std::size_t fusedGates = 1;
-  /// Roots of gates 2..k of a fused run, part of the plan's identity and
-  /// pinned alongside `root` by PlanCache.
-  std::vector<std::pair<const dd::mNode*, Complex>> extraRoots;
 
   // ---- row mode ---------------------------------------------------------
   std::vector<PlanBlock> blocks;
@@ -218,9 +204,6 @@ struct DmavPlan {
   /// permutation gate): replay then performs no zero-fill at all.
   [[nodiscard]] bool fullyExclusive() const noexcept;
   [[nodiscard]] std::size_t memoryBytes() const noexcept;
-  /// False once the owning package recycled matrix nodes after compilation
-  /// (see `generation`). PlanCache-pinned plans stay valid regardless.
-  [[nodiscard]] bool validFor(const dd::Package& pkg) const noexcept;
 };
 
 /// Sub-blocks per thread that row-mode compilation aims for (the balancing
@@ -242,11 +225,9 @@ inline constexpr Index kDenseTileAmps = 64;
 inline constexpr std::size_t kMaxDiagRunGates = 64;
 
 /// Lowers the gate DD `m` (at `nQubits`, for `threads` workers) into a
-/// replayable plan. `pkg` is only used to stamp the plan's generation; pass
-/// nullptr when recycling-safety is handled externally.
+/// replayable plan.
 [[nodiscard]] DmavPlan compileDmavPlan(const dd::mEdge& m, Qubit nQubits,
-                                       unsigned threads, PlanMode mode,
-                                       const dd::Package* pkg = nullptr);
+                                       unsigned threads, PlanMode mode);
 
 /// True when the gate DD is diagonal: every node's off-diagonal children
 /// (e[1], e[2]) are zero. Such gates commute pointwise, so consecutive
@@ -268,8 +249,7 @@ inline constexpr std::size_t kMaxDiagRunGates = 64;
 /// sweep regardless of the run length. Gates apply left-to-right (gates[0]
 /// first); diagonal matrices commute, so the fold order is immaterial.
 [[nodiscard]] DmavPlan compileDiagRunPlan(std::span<const dd::mEdge> gates,
-                                          Qubit nQubits, unsigned threads,
-                                          const dd::Package* pkg = nullptr);
+                                          Qubit nQubits, unsigned threads);
 
 /// Replays a row-mode plan: W = M * V. V and W must have size 2^n and must
 /// not alias.

@@ -28,38 +28,19 @@ FlatDDSimulator::FlatDDSimulator(Qubit nQubits, FlatDDOptions options)
             options.epsilon * ddPhaseSpeedup(options.threads) /
                 simd::arrayPhaseSpeedup(),
             options.warmupGates, options.minDDSize},
-      planCache_{options.sharedPlanCache != nullptr
-                     ? 0
-                     : (options.usePlanCache ? options.planCacheCapacity : 0)},
-      cache_{options.sharedPlanCache != nullptr ? options.sharedPlanCache
-                                                : &planCache_} {
+      planCache_{ddSim_.package()} {
   // stats_ is a member, so the log vector's address is stable across reset()
   // (which assigns a fresh FlatDDStats into the same object).
   ewma_.attachLog(&stats_.ewmaLog);
 }
 
-FlatDDSimulator::~FlatDDSimulator() {
-  if (options_.sharedPlanCache != nullptr) {
-    // Unpin this package's cached roots from the shared cache before the
-    // package dies; other sessions' entries stay.
-    options_.sharedPlanCache->clearPackage(ddSim_.package());
-  }
-}
-
 void FlatDDSimulator::reset() {
-  if (options_.sharedPlanCache != nullptr) {
-    // reset() recycles mNodes wholesale, so every plan keyed on this package
-    // is about to go stale — drop them (other sessions' plans are untouched,
-    // as are the shared stats).
-    options_.sharedPlanCache->clearPackage(ddSim_.package());
-  }
+  planCache_.clear();
   ddSim_.reset();
   ewma_.reset();
   flatPhase_ = false;
   v_.clear();
   w_.clear();
-  planCache_.clear();
-  planCache_.resetStats();
   stats_ = FlatDDStats{};
 }
 
@@ -92,7 +73,18 @@ void FlatDDSimulator::applyDDGate(const qc::Operation& op, bool mayConvert) {
   stats_.ddPhaseSeconds += clock.seconds();
 }
 
+void FlatDDSimulator::convertAtPassedForcedPoint() {
+  if (flatPhase_ || !options_.forceConversionAtGate || stats_.ddGates == 0 ||
+      stats_.ddGates < *options_.forceConversionAtGate) {
+    return;
+  }
+  Stopwatch clock;
+  convertToFlat(stats_.ddGates);
+  stats_.ddPhaseSeconds += clock.seconds();
+}
+
 void FlatDDSimulator::applyOperation(const qc::Operation& op) {
+  convertAtPassedForcedPoint();
   if (!flatPhase_) {
     applyDDGate(op, true);
     return;
@@ -120,6 +112,9 @@ void FlatDDSimulator::simulate(const qc::Circuit& circuit) {
   }
   const auto& ops = circuit.operations();
   std::size_t i = 0;
+  if (!ops.empty()) {
+    convertAtPassedForcedPoint();
+  }
 
   // ---- Phase 1: DD-based simulation with the EWMA monitor ----------------
   for (; i < ops.size() && !flatPhase_; ++i) {
@@ -218,21 +213,20 @@ void FlatDDSimulator::applyDmavDiagRun(std::span<const dd::mEdge> run) {
   const unsigned threads =
       dim < options_.parallelThresholdDim ? 1 : options_.threads;
   bool wasHit = false;
-  const std::shared_ptr<const DmavPlan> plan = cache_->getSharedRun(
-      ddSim_.package(), run, nQubits_, threads, &wasHit);
+  const DmavPlan& plan = planCache_.getRun(run, nQubits_, threads, &wasHit);
   if (wasHit) {
     ++stats_.planCacheHits;
   } else {
     ++stats_.planCacheMisses;
     ++stats_.planCompiles;
-    stats_.planCompileSeconds += plan->compileSeconds;
+    stats_.planCompileSeconds += plan.compileSeconds;
   }
   // One sweep regardless of the run length: charge a single pass of 2^n
   // MACs (the pointwise product) split across the replay threads.
   stats_.dmavModelCost +=
-      static_cast<fp>(dim) / static_cast<fp>(plan->threads);
+      static_cast<fp>(dim) / static_cast<fp>(plan.threads);
   Stopwatch replayClock;
-  replayPlan(*plan, v_, w_);
+  replayPlan(plan, v_, w_);
   stats_.dmavReplaySeconds += replayClock.seconds();
   std::swap(v_, w_);
 }
@@ -254,30 +248,26 @@ void FlatDDSimulator::applyDmav(const dd::mEdge& gate) {
   stats_.dmavModelCost += dmavCost(gate, nQubits_, threads, simd::lanes());
   if (options_.usePlanCache) {
     const PlanMode mode = useCache ? PlanMode::Cached : PlanMode::Row;
-    // getShared keeps the plan alive even if a concurrent session's miss
-    // evicts this entry from a shared cache mid-replay. Stats are tracked
-    // per simulator via wasHit — shared-cache totals aggregate all sessions
-    // and would misattribute.
     bool wasHit = false;
-    const std::shared_ptr<const DmavPlan> plan = cache_->getShared(
-        ddSim_.package(), gate, nQubits_, threads, mode, &wasHit);
+    const DmavPlan& plan =
+        planCache_.get(gate, nQubits_, threads, mode, &wasHit);
     if (wasHit) {
       ++stats_.planCacheHits;
     } else {
       ++stats_.planCacheMisses;
       ++stats_.planCompiles;
-      stats_.planCompileSeconds += plan->compileSeconds;
+      stats_.planCompileSeconds += plan.compileSeconds;
     }
-    if (plan->denseK != 0) {
+    if (plan.denseK != 0) {
       ++stats_.denseBlockGates;
     }
     Stopwatch replayClock;
     if (useCache) {
-      const DmavCacheStats s = replayPlanCached(*plan, v_, w_, workspace_);
+      const DmavCacheStats s = replayPlanCached(plan, v_, w_, workspace_);
       ++stats_.cachedGates;
       stats_.cacheHits += s.cacheHits;
     } else {
-      replayPlan(*plan, v_, w_);
+      replayPlan(plan, v_, w_);
     }
     stats_.dmavReplaySeconds += replayClock.seconds();
   } else if (useCache) {

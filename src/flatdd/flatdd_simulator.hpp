@@ -6,7 +6,6 @@
 // from the pieces in this directory.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -48,24 +47,16 @@ struct FlatDDOptions {
   /// Override the EWMA: convert once this many gates (counted across
   /// applyOperation() and simulate() calls since reset()) ran in DD.
   std::optional<std::size_t> forceConversionAtGate{};
-  /// Execute DMAV through compiled plans from a bounded LRU cache (see
-  /// dmav_plan.hpp / plan_cache.hpp). Off = the pre-plan recursive path
-  /// (Alg. 1/2 verbatim), kept for ablation benchmarks.
+  /// Execute DMAV through compiled plans from the simulator's bounded LRU
+  /// cache (see dmav_plan.hpp / plan_cache.hpp). Off = the pre-plan
+  /// recursive path (Alg. 1/2 verbatim), kept for ablation benchmarks.
   bool usePlanCache = true;
-  std::size_t planCacheCapacity = 64;
   /// Collapse runs of consecutive diagonal gates (RZ/CP/CZ/S/T layers) in
   /// the DMAV phase into one fused DiagRun plan: k gates become a single
   /// pointwise-product sweep over the state (see compileDiagRunPlan).
   /// Requires usePlanCache; simulate() only — the streaming applyOperation()
   /// path has no lookahead and applies gates one at a time.
   bool fuseDiagonalRuns = true;
-  /// When non-null, compiled plans go through this externally owned cache
-  /// instead of the simulator's private one (the service shares one LRU
-  /// budget across all sessions; see plan_cache.hpp for the sharing
-  /// contract). planCacheCapacity is ignored; the owner sizes the cache.
-  /// Outlives the simulator — the destructor only clears its own package's
-  /// entries out of it.
-  PlanCache* sharedPlanCache = nullptr;
 };
 
 struct PerGateRecord {
@@ -109,7 +100,6 @@ struct FlatDDStats {
 class FlatDDSimulator {
  public:
   explicit FlatDDSimulator(Qubit nQubits, FlatDDOptions options = {});
-  ~FlatDDSimulator();
 
   FlatDDSimulator(const FlatDDSimulator&) = delete;
   FlatDDSimulator& operator=(const FlatDDSimulator&) = delete;
@@ -134,7 +124,10 @@ class FlatDDSimulator {
   /// runs); applies the configured fusion pass at the conversion point.
   /// Gate indices (conversion point, per-gate trace, forced conversion)
   /// count on from earlier calls, so a circuit fed in chunks reports what
-  /// one call would. The last gate of a call never converts.
+  /// one call would. No trigger converts on the last gate of a call, where
+  /// no gate is left for DMAV. A forced conversion point reached there
+  /// converts before the next call's first gate, so DMAV starts at the same
+  /// gate however the circuit is chunked.
   void simulate(const qc::Circuit& circuit);
 
   /// Amplitude of basis state i — answered from whichever representation
@@ -160,6 +153,9 @@ class FlatDDSimulator {
   /// when the trigger fires and `mayConvert`. ddPhaseSeconds includes the
   /// conversion.
   void applyDDGate(const qc::Operation& op, bool mayConvert);
+  /// Converts when a forced conversion point was reached on the last gate
+  /// of an earlier simulate() call; called before a call's first gate.
+  void convertAtPassedForcedPoint();
   void convertToFlat(std::size_t gateIndex);
   void applyDmav(const dd::mEdge& gate);
   void applyDmavDiagRun(std::span<const dd::mEdge> run);
@@ -176,7 +172,6 @@ class FlatDDSimulator {
   // Declared after ddSim_ so it is destroyed (unpinning cached gate roots)
   // before the DD package it references.
   PlanCache planCache_;
-  PlanCache* cache_;  // &planCache_ or options_.sharedPlanCache
 
   FlatDDStats stats_;
 };

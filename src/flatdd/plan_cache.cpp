@@ -15,21 +15,10 @@ inline void hashCombine(std::size_t& seed, std::size_t v) noexcept {
   seed ^= v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
 }
 
-/// Applies `f` to every gate root a plan's cache entry pinned: the primary
-/// root plus the extra roots of a fused run.
-template <typename F>
-void forEachPlanRoot(const DmavPlan& plan, F&& f) {
-  f(dd::mEdge{const_cast<dd::mNode*>(plan.root), plan.rootWeight});
-  for (const auto& [node, weight] : plan.extraRoots) {
-    f(dd::mEdge{const_cast<dd::mNode*>(node), weight});
-  }
-}
-
 }  // namespace
 
 std::size_t PlanCache::KeyHash::operator()(const Key& k) const noexcept {
-  std::size_t seed = std::hash<const void*>{}(k.pkg);
-  hashCombine(seed, std::hash<const void*>{}(k.root));
+  std::size_t seed = std::hash<const void*>{}(k.root);
   hashCombine(seed, std::hash<std::uint64_t>{}(k.weightBits[0]));
   hashCombine(seed, std::hash<std::uint64_t>{}(k.weightBits[1]));
   hashCombine(seed, std::hash<std::uint64_t>{}(
@@ -45,11 +34,10 @@ std::size_t PlanCache::KeyHash::operator()(const Key& k) const noexcept {
   return seed;
 }
 
-std::shared_ptr<const DmavPlan> PlanCache::getShared(
-    dd::Package& pkg, const dd::mEdge& m, Qubit nQubits, unsigned threads,
-    PlanMode mode, bool* wasHit) {
+const DmavPlan& PlanCache::get(const dd::mEdge& m, Qubit nQubits,
+                               unsigned threads, PlanMode mode,
+                               bool* wasHit) {
   Key key;
-  key.pkg = &pkg;
   key.root = m.n;
   key.weightBits[0] = std::bit_cast<std::uint64_t>(m.w.real());
   key.weightBits[1] = std::bit_cast<std::uint64_t>(m.w.imag());
@@ -57,17 +45,16 @@ std::shared_ptr<const DmavPlan> PlanCache::getShared(
   key.threads = threads;
   key.mode = mode;
   key.identFast = identFastPathEnabled();
-  return getCommon(pkg, std::move(key), wasHit, [&] {
-    return compileDmavPlan(m, nQubits, threads, mode, &pkg);
+  return getCommon(std::move(key), wasHit, [&] {
+    return compileDmavPlan(m, nQubits, threads, mode);
   });
 }
 
-std::shared_ptr<const DmavPlan> PlanCache::getSharedRun(
-    dd::Package& pkg, std::span<const dd::mEdge> run, Qubit nQubits,
-    unsigned threads, bool* wasHit) {
+const DmavPlan& PlanCache::getRun(std::span<const dd::mEdge> run,
+                                  Qubit nQubits, unsigned threads,
+                                  bool* wasHit) {
   assert(!run.empty());
   Key key;
-  key.pkg = &pkg;
   key.root = run[0].n;
   key.weightBits[0] = std::bit_cast<std::uint64_t>(run[0].w.real());
   key.weightBits[1] = std::bit_cast<std::uint64_t>(run[0].w.imag());
@@ -82,187 +69,79 @@ std::shared_ptr<const DmavPlan> PlanCache::getSharedRun(
         {std::bit_cast<std::uint64_t>(run[g].w.real()),
          std::bit_cast<std::uint64_t>(run[g].w.imag())}});
   }
-  return getCommon(pkg, std::move(key), wasHit, [&] {
-    return compileDiagRunPlan(run, nQubits, threads, &pkg);
+  return getCommon(std::move(key), wasHit, [&] {
+    return compileDiagRunPlan(run, nQubits, threads);
   });
 }
 
-std::shared_ptr<const DmavPlan> PlanCache::getCommon(
-    dd::Package& pkg, Key key, bool* wasHit,
-    const std::function<DmavPlan()>& compile) {
-  const std::lock_guard lock{mutex_};
-  // The caller is the thread serialized on `pkg`, so deferred unpins of
-  // this package's roots (parked by other sessions' evictions) are safe to
-  // release here.
-  drainParkedLocked(&pkg);
-
-  if (capacity_ == 0) {
-    ++stats_.misses;
-    ++stats_.compiles;
-    FDD_OBS_COUNT("planCache.misses");
-    FDD_OBS_COUNT("planCache.compiles");
-    auto plan = std::make_shared<DmavPlan>(compile());
-    stats_.compileSeconds += plan->compileSeconds;
-    if (wasHit != nullptr) {
-      *wasHit = false;
-    }
-    return plan;
+const DmavPlan& PlanCache::getCommon(
+    Key key, bool* wasHit, const std::function<DmavPlan()>& compile) {
+  const auto it = index_.find(key);
+  if (wasHit != nullptr) {
+    *wasHit = it != index_.end();
   }
-
-  if (const auto it = index_.find(key); it != index_.end()) {
-    // Pinned roots cannot be *recycled*, so a pointer match is normally a
-    // true match — but a package reset drops nodes wholesale regardless of
-    // pins. The generation re-check catches that: stale entries are evicted
-    // and recompiled instead of replayed.
-    if (!it->second->plan->validFor(pkg)) {
-      ++stats_.staleHits;
-      FDD_OBS_COUNT("planCache.staleHits");
-      Entry victim = std::move(*it->second);
-      lru_.erase(it->second);
-      index_.erase(it);
-      unpinOrPark(victim, &pkg);
-    } else {
-      assert(it->second->plan->root == key.root);
-      ++stats_.hits;
-      FDD_OBS_COUNT("planCache.hits");
-      lru_.splice(lru_.begin(), lru_, it->second);
-      if (wasHit != nullptr) {
-        *wasHit = true;
-      }
-      return it->second->plan;
-    }
+  if (it != index_.end()) {
+    ++stats_.hits;
+    FDD_OBS_COUNT("planCache.hits");
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->plan;
   }
 
   ++stats_.misses;
   ++stats_.compiles;
   FDD_OBS_COUNT("planCache.misses");
   FDD_OBS_COUNT("planCache.compiles");
+  if (capacity_ == 0) {
+    uncached_ = compile();
+    stats_.compileSeconds += uncached_.compileSeconds;
+    return uncached_;
+  }
   while (index_.size() >= capacity_) {
-    evictOldestLocked(&pkg);
+    evictOldest();
   }
-  Entry entry;
-  entry.key = std::move(key);
-  entry.plan = std::make_shared<DmavPlan>(compile());
-  entry.pkg = &pkg;
-  stats_.compileSeconds += entry.plan->compileSeconds;
-  // Pin every root (the primary plus a fused run's extras) so the package
-  // cannot recycle any node of the cached gate DDs (children are kept alive
-  // transitively by their parents' reference counts).
-  forEachPlanRoot(*entry.plan, [&](const dd::mEdge& root) {
-    pkg.incRef(root);
-  });
-  lru_.push_front(std::move(entry));
-  index_.emplace(lru_.front().key, lru_.begin());
-  if (wasHit != nullptr) {
-    *wasHit = false;
-  }
-  return lru_.front().plan;
+  lru_.push_front(Entry{std::move(key), compile()});
+  Entry& entry = lru_.front();
+  stats_.compileSeconds += entry.plan.compileSeconds;
+  setPinned(entry.key, true);
+  index_.emplace(entry.key, lru_.begin());
+  return entry.plan;
 }
 
-const DmavPlan& PlanCache::get(dd::Package& pkg, const dd::mEdge& m,
-                               Qubit nQubits, unsigned threads,
-                               PlanMode mode) {
-  std::shared_ptr<const DmavPlan> plan =
-      getShared(pkg, m, nQubits, threads, mode);
-  const std::lock_guard lock{mutex_};
-  holder_ = std::move(plan);
-  return *holder_;
-}
-
-void PlanCache::unpinOrPark(Entry& victim, const dd::Package* caller) {
-  forEachPlanRoot(*victim.plan, [&](const dd::mEdge& root) {
-    if (victim.pkg == caller) {
-      // Unpinning our own package is safe: the caller is the thread
-      // serialized on it.
-      victim.pkg->decRef(root);
+void PlanCache::setPinned(const Key& key, bool pin) {
+  const auto apply = [&](dd::mNode* root) {
+    if (pin) {
+      pkg_->incRef(dd::mEdge{root, {}});
     } else {
-      // Another session owns this package; mutating its reference counts
-      // here would race that session's DD phase. Park the pin until the
-      // owner's next getShared()/clearPackage().
-      parked_[victim.pkg].push_back(ParkedPin{victim.pkg, root.n, root.w});
+      pkg_->decRef(dd::mEdge{root, {}});
     }
-  });
+  };
+  apply(key.root);
+  for (const RunGate& g : key.run) {
+    apply(g.n);
+  }
 }
 
-void PlanCache::drainParkedLocked(const dd::Package* pkg) {
-  const auto it = parked_.find(pkg);
-  if (it == parked_.end()) {
-    return;
-  }
-  for (const ParkedPin& pin : it->second) {
-    pin.pkg->decRef(dd::mEdge{const_cast<dd::mNode*>(pin.root), pin.weight});
-  }
-  parked_.erase(it);
-}
-
-void PlanCache::evictOldestLocked(const dd::Package* caller) {
-  if (lru_.empty()) {
-    return;
-  }
-  Entry victim = std::move(lru_.back());
-  index_.erase(victim.key);
+void PlanCache::evictOldest() {
+  setPinned(lru_.back().key, false);
+  index_.erase(lru_.back().key);
   lru_.pop_back();
   ++stats_.evictions;
   FDD_OBS_COUNT("planCache.evictions");
-  unpinOrPark(victim, caller);
-}
-
-void PlanCache::clearPackage(dd::Package& pkg) {
-  const std::lock_guard lock{mutex_};
-  drainParkedLocked(&pkg);
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->pkg == &pkg) {
-      forEachPlanRoot(*it->plan, [&](const dd::mEdge& root) {
-        pkg.decRef(root);
-      });
-      index_.erase(it->key);
-      it = lru_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  holder_.reset();
 }
 
 void PlanCache::clear() {
-  const std::lock_guard lock{mutex_};
-  for (Entry& entry : lru_) {
-    forEachPlanRoot(*entry.plan, [&](const dd::mEdge& root) {
-      entry.pkg->decRef(root);
-    });
+  for (const Entry& entry : lru_) {
+    setPinned(entry.key, false);
   }
   lru_.clear();
   index_.clear();
-  for (auto& [pkg, pins] : parked_) {
-    for (const ParkedPin& pin : pins) {
-      pin.pkg->decRef(
-          dd::mEdge{const_cast<dd::mNode*>(pin.root), pin.weight});
-    }
-  }
-  parked_.clear();
-  holder_.reset();
-}
-
-std::size_t PlanCache::size() const {
-  const std::lock_guard lock{mutex_};
-  return index_.size();
-}
-
-PlanCacheStats PlanCache::stats() const {
-  const std::lock_guard lock{mutex_};
-  return stats_;
-}
-
-void PlanCache::resetStats() {
-  const std::lock_guard lock{mutex_};
-  stats_ = PlanCacheStats{};
 }
 
 std::size_t PlanCache::memoryBytes() const {
-  const std::lock_guard lock{mutex_};
   std::size_t bytes = 0;
   for (const Entry& entry : lru_) {
-    bytes += entry.plan->memoryBytes() + sizeof(Entry);
+    bytes += entry.plan.memoryBytes() + sizeof(Entry) +
+             entry.key.run.capacity() * sizeof(RunGate);
   }
   return bytes;
 }

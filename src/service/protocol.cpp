@@ -321,7 +321,7 @@ std::string Service::handleLine(std::string_view line) {
 
 void Service::logRequest(const char* op, std::uint64_t requestId,
                          std::uint64_t sessionId, const Job& job,
-                         std::uint64_t gates) {
+                         std::uint64_t gates, std::size_t planCacheHits) {
   SlowRequestLog& log = manager_.slowLog();
   if (!log.enabled()) {
     return;
@@ -334,9 +334,7 @@ void Service::logRequest(const char* op, std::uint64_t requestId,
   entry.executeMs = job.executeSeconds() * 1e3;
   entry.totalMs = job.latencySeconds() * 1e3;
   entry.gatesApplied = gates;
-  if (const flat::PlanCache* cache = manager_.sharedPlanCache()) {
-    entry.planCacheHits = cache->stats().hits;
-  }
+  entry.planCacheHits = planCacheHits;
   entry.simdTier = simd::toString(simd::activeTier());
   entry.state = toString(job.state());
   log.record(entry);
@@ -513,7 +511,8 @@ std::string Service::dispatch(std::string_view line,
       if (firstObservation) {
         logRequest("apply_async", async.handle->requestId(),
                    async.session->id(), *async.handle,
-                   async.session->gatesApplied());
+                   async.session->gatesApplied(),
+                   async.result->planCacheHits);
       }
     }
     json::Writer w;
@@ -521,7 +520,7 @@ std::string Service::dispatch(std::string_view line,
     w.field("ok", true);
     w.field("state", toString(state));
     if (state == JobState::Done) {
-      w.field("applied", *async.applied);
+      w.field("applied", async.result->applied);
       w.field("total_gates", async.session->gatesApplied());
     }
     if (state == JobState::Failed) {
@@ -555,12 +554,21 @@ std::string Service::dispatch(std::string_view line,
 
   if (op == "apply") {
     qc::Circuit chunk = circuitFromRequest(obj, session->numQubits());
-    auto applied = std::make_shared<std::size_t>(0);
+    auto result = std::make_shared<ApplyResult>();
+    // Sessions are not synchronized, so the job body itself reads the
+    // session's plan-cache hits around the apply, and only when the slow
+    // log will record the difference.
+    const bool countHits = manager_.slowLog().enabled();
     const JobHandle handle = manager_.submit(
         session,
-        [chunk = std::move(chunk), applied](Session& s,
-                                            const par::CancelToken& token) {
-          *applied = s.apply(chunk, token);
+        [chunk = std::move(chunk), result, countHits](
+            Session& s, const par::CancelToken& token) {
+          const std::size_t before =
+              countHits ? s.report().planCacheHits : 0;
+          result->applied = s.apply(chunk, token);
+          if (countHits) {
+            result->planCacheHits = s.report().planCacheHits - before;
+          }
         },
         jobOptions(obj, requestId, "apply"));
     const json::Value* async = findField(obj, "async");
@@ -570,7 +578,7 @@ std::string Service::dispatch(std::string_view line,
       {
         const std::lock_guard lock{jobsMutex_};
         jobId = nextJobId_++;
-        jobs_.emplace(jobId, AsyncJob{handle, session, applied, {}});
+        jobs_.emplace(jobId, AsyncJob{handle, session, result, {}});
       }
       json::Writer w;
       w.beginObject();
@@ -581,14 +589,14 @@ std::string Service::dispatch(std::string_view line,
     }
     handle->wait();
     logRequest("apply", requestId, sessionId, *handle,
-               session->gatesApplied());
+               session->gatesApplied(), result->planCacheHits);
     if (handle->state() != JobState::Done) {
       return jobFailureResponse(*handle);
     }
     json::Writer w;
     w.beginObject();
     w.field("ok", true);
-    w.field("applied", *applied);
+    w.field("applied", result->applied);
     w.field("total_gates", session->gatesApplied());
     w.endObject();
     std::string response = w.take();
@@ -610,7 +618,7 @@ std::string Service::dispatch(std::string_view line,
         jobOptions(obj, requestId, "sample"));
     handle->wait();
     logRequest("sample", requestId, sessionId, *handle,
-               session->gatesApplied());
+               session->gatesApplied(), 0);
     if (handle->state() != JobState::Done) {
       return jobFailureResponse(*handle);
     }
@@ -655,7 +663,7 @@ std::string Service::dispatch(std::string_view line,
         jobOptions(obj, requestId, "amplitude"));
     handle->wait();
     logRequest("amplitude", requestId, sessionId, *handle,
-               session->gatesApplied());
+               session->gatesApplied(), 0);
     if (handle->state() != JobState::Done) {
       return jobFailureResponse(*handle);
     }

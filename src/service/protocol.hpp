@@ -82,10 +82,15 @@ class Service {
   [[nodiscard]] SessionManager& sessions() noexcept { return manager_; }
 
  private:
+  /// Written by an apply job's body, read once the job is terminal.
+  struct ApplyResult {
+    std::size_t applied = 0;
+    std::size_t planCacheHits = 0;  // this request's own (slow log only)
+  };
   struct AsyncJob {
     JobHandle handle;
     std::shared_ptr<Session> session;
-    std::shared_ptr<std::size_t> applied;  // written by the job body
+    std::shared_ptr<ApplyResult> result;
     // Set on the first sweep that sees the job terminal; the entry is
     // dropped once this passes so unpolled jobs can't pin sessions.
     std::optional<std::chrono::steady_clock::time_point> expireAt;
@@ -95,9 +100,11 @@ class Service {
   /// dispatch throws after assigning it.
   std::string dispatch(std::string_view line, std::uint64_t& requestId);
   /// Records a completed synchronous job in the slow-request log.
+  /// `planCacheHits` counts the DMAV plans this request alone replayed
+  /// from the session's cache.
   void logRequest(const char* op, std::uint64_t requestId,
                   std::uint64_t sessionId, const Job& job,
-                  std::uint64_t gates);
+                  std::uint64_t gates, std::size_t planCacheHits);
   /// Drops terminal async jobs the client stopped polling (grace period
   /// ServiceConfig::asyncJobGraceMs). Called on every dispatch.
   void sweepExpiredJobs();

@@ -9,12 +9,10 @@
 
 namespace fdd::svc {
 
-Session::Session(std::uint64_t id, SessionConfig config,
-                 flat::PlanCache* sharedPlanCache)
+Session::Session(std::uint64_t id, SessionConfig config)
     : id_{id},
       config_{[&] {
         config.engine.seed = config.seed;
-        config.engine.sharedPlanCache = sharedPlanCache;
         // Sessions share the service's observability window; a per-apply
         // registry reset would clobber concurrent sessions' metrics.
         config.engine.enableObs = false;

@@ -32,10 +32,6 @@
 #include "parallel/cancellation.hpp"
 #include "qc/circuit.hpp"
 
-namespace fdd::flat {
-class PlanCache;
-}
-
 namespace fdd::svc {
 
 struct SessionConfig {
@@ -46,14 +42,12 @@ struct SessionConfig {
   /// state, so an unbounded map is a client-driven OOM. checkpoint()
   /// fails at the cap until release() frees a slot.
   std::size_t maxCheckpoints = 32;
-  engine::EngineOptions engine;  // seed/sharedPlanCache are overwritten
+  engine::EngineOptions engine;  // seed and enableObs are overwritten
 };
 
 class Session {
  public:
-  /// `sharedPlanCache` may be null (session compiles into a private cache).
-  Session(std::uint64_t id, SessionConfig config,
-          flat::PlanCache* sharedPlanCache);
+  Session(std::uint64_t id, SessionConfig config);
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;

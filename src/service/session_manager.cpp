@@ -15,7 +15,6 @@ obs::Gauge& sessionsGauge() {
 
 SessionManager::SessionManager(ServiceConfig config)
     : config_{std::move(config)},
-      planCache_{config_.planCacheCapacity},
       slowLog_{config_.slowLogPath, config_.slowRequestMs,
                config_.slowLogMaxPerSec},
       queue_{config_.workers},
@@ -28,17 +27,9 @@ SessionManager::~SessionManager() {
   // The watchdog reads the queue's running set; stop it before the workers
   // so shutdown never races a scan.
   watchdog_.stop();
-  // Stop the workers next: no job may touch a session or the shared plan
-  // cache while the table below is torn down.
+  // Stop the workers next: no job may touch a session while the table is
+  // torn down.
   queue_.shutdown();
-  std::unordered_map<std::uint64_t, std::shared_ptr<Session>> sessions;
-  {
-    const std::lock_guard lock{mutex_};
-    sessions = std::move(sessions_);
-  }
-  // Session backends unpin their plan-cache entries in their destructors,
-  // which must run before planCache_ dies — hence explicitly here.
-  sessions.clear();
 }
 
 std::shared_ptr<Session> SessionManager::open(SessionConfig config) {
@@ -48,8 +39,7 @@ std::shared_ptr<Session> SessionManager::open(SessionConfig config) {
     id = nextId_++;
   }
   // Construct outside the lock — backend creation can be expensive.
-  auto session =
-      std::make_shared<Session>(id, std::move(config), sharedPlanCache());
+  auto session = std::make_shared<Session>(id, std::move(config));
   {
     const std::lock_guard lock{mutex_};
     sessions_.emplace(id, session);

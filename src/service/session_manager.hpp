@@ -1,15 +1,12 @@
 #pragma once
-// Owns everything long-lived in the service: the session table, the shared
-// DMAV plan cache, and the job queue. The manager enforces the concurrency
-// contract the lower layers rely on:
-//
-//   * Every operation that touches a session's state is submitted through
-//     submit() with the session id as the queue's orderKey, so one session's
-//     jobs run strictly FIFO (sessions need no internal locks) while
-//     different sessions' jobs interleave across workers under priority.
-//   * The shared PlanCache outlives every session, and a session's backend
-//     clears its own package's entries out of it on destruction — closing a
-//     session never invalidates another session's cached plans.
+// Owns everything long-lived in the service: the session table and the job
+// queue. The manager enforces the concurrency contract the lower layers rely
+// on: every operation that touches a session's state is submitted through
+// submit() with the session id as the queue's orderKey, so one session's
+// jobs run strictly FIFO (sessions need no internal locks) while different
+// sessions' jobs interleave across workers under priority. A session shares
+// nothing mutable with another: its FlatDD backend compiles DMAV plans into
+// its own private cache over its own DD package.
 //
 // close() removes the session from the table; jobs already queued for it
 // hold the Session shared_ptr and complete normally, after which the session
@@ -20,7 +17,6 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "flatdd/plan_cache.hpp"
 #include "service/job_queue.hpp"
 #include "service/session.hpp"
 #include "service/slow_log.hpp"
@@ -31,9 +27,6 @@ namespace fdd::svc {
 struct ServiceConfig {
   /// Dedicated job-queue worker threads (concurrent sessions in flight).
   unsigned workers = 4;
-  /// Capacity of the plan cache shared by all sessions (0 = per-session
-  /// private caches, no sharing).
-  std::size_t planCacheCapacity = 256;
   /// How long a finished async job's result stays pollable after completion
   /// before the service drops it (releasing its session reference).
   std::int64_t asyncJobGraceMs = 60'000;
@@ -79,9 +72,6 @@ class SessionManager {
                    JobOptions opts = {});
 
   [[nodiscard]] JobQueue& queue() noexcept { return queue_; }
-  [[nodiscard]] flat::PlanCache* sharedPlanCache() noexcept {
-    return config_.planCacheCapacity == 0 ? nullptr : &planCache_;
-  }
   [[nodiscard]] const ServiceConfig& config() const noexcept {
     return config_;
   }
@@ -90,17 +80,16 @@ class SessionManager {
 
  private:
   ServiceConfig config_;
-  flat::PlanCache planCache_;
   SlowRequestLog slowLog_;
 
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Session>> sessions_;
   std::uint64_t nextId_ = 1;
 
-  // Declared after the caches/sessions it must outlive shut down: the queue
-  // must drain (jobs reference sessions and the plan cache) before either
-  // is destroyed, and the watchdog — which observes the queue — is declared
-  // after it so it stops first.
+  // Declared after the sessions and the slow log it must outlive shut down:
+  // the queue must drain (jobs reference sessions and log to the slow log)
+  // before either is destroyed, and the watchdog — which observes the
+  // queue — is declared after it so it stops first.
   JobQueue queue_;
   Watchdog watchdog_;
 };

@@ -8,7 +8,8 @@
 // Each entry carries enough to diagnose a slow request without a trace:
 // the op, session, request id (joinable against trace spans and the
 // protocol response), the queue-wait vs execute split, gates applied so
-// far, plan-cache hit count and SIMD dispatch tier at the time of logging.
+// far, the DMAV plans this request replayed from the session's plan cache,
+// and the SIMD dispatch tier.
 //
 // Writes are rate-limited by a token bucket (`maxPerSec`, refilled
 // continuously) so a pathological burst — every request slow — degrades to
@@ -35,7 +36,7 @@ struct SlowLogEntry {
   double executeMs = 0;
   double totalMs = 0;
   std::uint64_t gatesApplied = 0;
-  std::uint64_t planCacheHits = 0;
+  std::uint64_t planCacheHits = 0;  // this request's own
   std::string simdTier;
   std::string state;  // job terminal state, or "running" for stalls
 };

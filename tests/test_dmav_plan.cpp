@@ -47,7 +47,7 @@ TEST(DmavPlan, DiagonalGatesLowerToDiagScale) {
     const dd::mEdge m = p.makeGateDD(op);
     for (const unsigned threads : {1u, 4u}) {
       const DmavPlan plan =
-          compileDmavPlan(m, n, threads, PlanMode::Row, &p);
+          compileDmavPlan(m, n, threads, PlanMode::Row);
       EXPECT_GT(plan.opCount(SpanOpKind::DiagScale), 0u)
           << op.toString() << " t=" << threads;
       EXPECT_EQ(plan.opCount(SpanOpKind::MacSpan), 0u);
@@ -75,7 +75,7 @@ TEST(DmavPlan, PermutationGatesLowerToPermuteCopy) {
   for (const auto& op : permutations) {
     dd::Package p{n};
     const dd::mEdge m = p.makeGateDD(op);
-    const DmavPlan plan = compileDmavPlan(m, n, 2, PlanMode::Row, &p);
+    const DmavPlan plan = compileDmavPlan(m, n, 2, PlanMode::Row);
     EXPECT_GT(plan.opCount(SpanOpKind::PermuteCopy), 0u);
     EXPECT_EQ(plan.opCount(SpanOpKind::MacSpan), 0u);
     EXPECT_TRUE(plan.fullyExclusive());
@@ -92,7 +92,7 @@ TEST(DmavPlan, HadamardKeepsAccumulatingOps) {
   const Qubit n = 6;
   dd::Package p{n};
   const dd::mEdge m = p.makeGateDD({qc::GateKind::H, 0, {}, {}});
-  const DmavPlan plan = compileDmavPlan(m, n, 2, PlanMode::Row, &p);
+  const DmavPlan plan = compileDmavPlan(m, n, 2, PlanMode::Row);
   EXPECT_FALSE(plan.fullyExclusive());
   EXPECT_GT(plan.opCount(SpanOpKind::MacSpan) +
                 plan.opCount(SpanOpKind::IdentScale) +
@@ -112,7 +112,7 @@ TEST(DmavPlan, LowQubitDiagonalCollapsesToStridedCombs) {
   const Qubit n = 10;
   dd::Package p{n};
   const dd::mEdge m = p.makeGateDD({qc::GateKind::RZ, 0, {}, {0.41}});
-  const DmavPlan plan = compileDmavPlan(m, n, 2, PlanMode::Row, &p);
+  const DmavPlan plan = compileDmavPlan(m, n, 2, PlanMode::Row);
   EXPECT_TRUE(plan.fullyExclusive());
   EXPECT_EQ(plan.opCount(), 2 * plan.blocks.size());
   for (const PlanBlock& block : plan.blocks) {
@@ -139,7 +139,7 @@ TEST(DmavPlan, LowQubitHadamardFusesAndCollapsesToMac2Combs) {
   const Qubit n = 10;
   dd::Package p{n};
   const dd::mEdge m = p.makeGateDD({qc::GateKind::H, 0, {}, {}});
-  const DmavPlan plan = compileDmavPlan(m, n, 2, PlanMode::Row, &p);
+  const DmavPlan plan = compileDmavPlan(m, n, 2, PlanMode::Row);
   EXPECT_GT(plan.opCount(SpanOpKind::Mac2Span), 0u);
   EXPECT_EQ(plan.opCount(), plan.opCount(SpanOpKind::Mac2Span));
   EXPECT_EQ(plan.opCount(), 2 * plan.blocks.size());
@@ -158,7 +158,7 @@ TEST(DmavPlan, HighQubitHadamardFusesToTwoMac2SpansPerBlock) {
   const Qubit n = 8;
   dd::Package p{n};
   const dd::mEdge m = p.makeGateDD({qc::GateKind::H, n - 1, {}, {}});
-  const DmavPlan plan = compileDmavPlan(m, n, 1, PlanMode::Row, &p);
+  const DmavPlan plan = compileDmavPlan(m, n, 1, PlanMode::Row);
   EXPECT_GT(plan.opCount(SpanOpKind::Mac2Span), 0u);
   EXPECT_EQ(plan.opCount(SpanOpKind::MacSpan), 0u);
   EXPECT_EQ(plan.opCount(SpanOpKind::IdentScale), 0u);
@@ -176,7 +176,7 @@ TEST(DmavPlan, LowQubitPermutationCollapsesToStridedCombs) {
   const Qubit n = 10;
   dd::Package p{n};
   const dd::mEdge m = p.makeGateDD({qc::GateKind::X, 0, {}, {}});
-  const DmavPlan plan = compileDmavPlan(m, n, 2, PlanMode::Row, &p);
+  const DmavPlan plan = compileDmavPlan(m, n, 2, PlanMode::Row);
   EXPECT_TRUE(plan.fullyExclusive());
   EXPECT_EQ(plan.opCount(), 2 * plan.blocks.size());
   for (const PlanBlock& block : plan.blocks) {
@@ -198,9 +198,9 @@ TEST(DmavPlan, IdentFastPathFlagIsBakedIn) {
   const Qubit n = 6;
   dd::Package p{n};
   const dd::mEdge m = p.makeGateDD({qc::GateKind::X, 0, {n - 1}, {}});  // CX
-  const DmavPlan withIdent = compileDmavPlan(m, n, 1, PlanMode::Row, &p);
+  const DmavPlan withIdent = compileDmavPlan(m, n, 1, PlanMode::Row);
   setIdentFastPath(false);
-  const DmavPlan without = compileDmavPlan(m, n, 1, PlanMode::Row, &p);
+  const DmavPlan without = compileDmavPlan(m, n, 1, PlanMode::Row);
   setIdentFastPath(true);
   EXPECT_TRUE(withIdent.identFast);
   EXPECT_FALSE(without.identFast);
@@ -221,7 +221,7 @@ TEST(DmavPlan, BlocksAreSplitFinerThanThreadsAndPackedOnce) {
   dd::Package p{n};
   const auto circuit = circuits::supremacy(n, 4, 5);
   const dd::mEdge m = p.makeGateDD(circuit.operations().front());
-  const DmavPlan plan = compileDmavPlan(m, n, 4, PlanMode::Row, &p);
+  const DmavPlan plan = compileDmavPlan(m, n, 4, PlanMode::Row);
   EXPECT_EQ(plan.threads, 4u);
   EXPECT_EQ(plan.blocks.size(), 8u);  // 4 threads x split 2
   // Every block is assigned to exactly one thread.
@@ -254,7 +254,7 @@ TEST(DmavPlan, ReplayMatchesRecursiveOnIrregularCircuit) {
   AlignedVector<Complex> w2(v1.size());
   for (const auto& op : circuits::supremacy(n, 6, 17)) {
     const dd::mEdge m = p.makeGateDD(op);
-    const DmavPlan plan = compileDmavPlan(m, n, 4, PlanMode::Row, &p);
+    const DmavPlan plan = compileDmavPlan(m, n, 4, PlanMode::Row);
     replayPlan(plan, v1, w1);
     dmavRecursive(m, n, v2, w2, 4);
     std::swap(v1, w1);
@@ -269,7 +269,7 @@ TEST(DmavPlan, ReplaySurvivesShrunkenPool) {
   const Qubit n = 6;
   dd::Package p{n};
   const dd::mEdge m = p.makeGateDD({qc::GateKind::H, 3, {}, {}});
-  const DmavPlan plan = compileDmavPlan(m, n, 8, PlanMode::Row, &p);
+  const DmavPlan plan = compileDmavPlan(m, n, 8, PlanMode::Row);
   EXPECT_EQ(plan.threads, 8u);
   par::resizePool(2);
   const auto v = test::randomState(n, 94);
@@ -294,7 +294,7 @@ TEST(DmavPlan, CachedPlanEmitsBlockScaleForRepeats) {
   dd::Package p{n};
   const qc::Operation op{qc::GateKind::H, n - 1, {}, {}};
   const dd::mEdge m = p.makeGateDD(op);
-  const DmavPlan plan = compileDmavPlan(m, n, 4, PlanMode::Cached, &p);
+  const DmavPlan plan = compileDmavPlan(m, n, 4, PlanMode::Cached);
   EXPECT_GT(plan.cacheHits, 0u);
   EXPECT_EQ(plan.opCount(SpanOpKind::BlockScale), plan.cacheHits);
   AlignedVector<Complex> in(Index{1} << n);
@@ -321,7 +321,7 @@ TEST(DmavPlan, CachedPlanMatchesRecursiveCachedPath) {
   AlignedVector<Complex> w2(v1.size());
   for (const auto& op : circuits::qft(n, 3)) {
     const dd::mEdge m = p.makeGateDD(op);
-    const DmavPlan plan = compileDmavPlan(m, n, 4, PlanMode::Cached, &p);
+    const DmavPlan plan = compileDmavPlan(m, n, 4, PlanMode::Cached);
     const DmavCacheStats a = replayPlanCached(plan, v1, w1, ws1);
     const DmavCacheStats b = dmavCachedRecursive(m, n, v2, w2, 4, ws2);
     EXPECT_EQ(a.tasks, b.tasks);
@@ -393,9 +393,8 @@ TEST(DiagRunPlan, FusedRunMatchesSequentialRecursive) {
         run.push_back(p.makeGateDD(op));
         p.incRef(run.back());
       }
-      const DmavPlan plan = compileDiagRunPlan(run, n, threads, &p);
+      const DmavPlan plan = compileDiagRunPlan(run, n, threads);
       EXPECT_EQ(plan.fusedGates, k);
-      EXPECT_EQ(plan.extraRoots.size(), k - 1);
       EXPECT_EQ(plan.diag.size(), Index{1} << n);
       EXPECT_TRUE(plan.fullyExclusive());
       EXPECT_EQ(plan.opCount(), plan.opCount(SpanOpKind::DiagRun));
@@ -423,22 +422,23 @@ TEST(DiagRunPlan, FusedRunMatchesSequentialRecursive) {
 TEST(PlanCacheTest, RunKeyedEntriesHitAndPinAllRoots) {
   const Qubit n = 6;
   dd::Package p{n};
-  PlanCache cache{8};
+  PlanCache cache{p, 8};
   std::vector<dd::mEdge> run;
   for (const auto& op : randomDiagonalOps(n, 3, 7)) {
     run.push_back(p.makeGateDD(op));
     p.incRef(run.back());
   }
   bool hit = true;
-  const auto plan = cache.getSharedRun(p, run, n, 2, &hit);
+  const DmavPlan& plan = cache.getRun(run, n, 2, &hit);
   EXPECT_FALSE(hit);
-  EXPECT_EQ(plan->fusedGates, 3u);
-  const auto again = cache.getSharedRun(p, run, n, 2, &hit);
+  EXPECT_EQ(plan.fusedGates, 3u);
+  const DmavPlan& again = cache.getRun(run, n, 2, &hit);
   EXPECT_TRUE(hit);
-  EXPECT_EQ(plan.get(), again.get());
+  EXPECT_EQ(&plan, &again);
   // A shorter prefix of the same run is a different plan, not a hit.
-  (void)cache.getSharedRun(p, std::span{run.data(), 2}, n, 2, &hit);
+  const DmavPlan& prefix = cache.getRun(std::span{run.data(), 2}, n, 2, &hit);
   EXPECT_FALSE(hit);
+  EXPECT_EQ(prefix.fusedGates, 2u);
   EXPECT_EQ(cache.size(), 2u);
 
   // The cache pinned every gate root of the fused run: after dropping our
@@ -447,12 +447,12 @@ TEST(PlanCacheTest, RunKeyedEntriesHitAndPinAllRoots) {
     p.decRef(m);
   }
   p.garbageCollect(true);
-  const auto pinned = cache.getSharedRun(p, run, n, 2, &hit);
+  const DmavPlan& pinned = cache.getRun(run, n, 2, &hit);
   EXPECT_TRUE(hit);
   const auto v = test::randomState(n, 77);
   AlignedVector<Complex> in(v.begin(), v.end());
   AlignedVector<Complex> out(in.size());
-  replayPlan(*pinned, in, out);
+  replayPlan(pinned, in, out);
   test::DenseVector want = v;
   for (const dd::mEdge& m : run) {
     AlignedVector<Complex> v2(want.begin(), want.end());
@@ -484,7 +484,7 @@ TEST(DenseBlockPlan, TwoQubitFusedGateMatchesRecursive) {
   EXPECT_EQ(info->qubits[0], 6);
   EXPECT_EQ(info->qubits[1], 7);
   for (const unsigned threads : {1u, 4u}) {
-    const DmavPlan plan = compileDmavPlan(m, n, threads, PlanMode::Row, &p);
+    const DmavPlan plan = compileDmavPlan(m, n, threads, PlanMode::Row);
     EXPECT_EQ(plan.denseK, 2u);
     EXPECT_TRUE(plan.fullyExclusive());
     EXPECT_GT(plan.opCount(), 0u);
@@ -511,7 +511,7 @@ TEST(DenseBlockPlan, ThreeQubitFusedGateMatchesRecursive) {
   const auto info = denseBlockProbe(m, n);
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->k, 3u);
-  const DmavPlan plan = compileDmavPlan(m, n, 4, PlanMode::Row, &p);
+  const DmavPlan plan = compileDmavPlan(m, n, 4, PlanMode::Row);
   EXPECT_EQ(plan.denseK, 3u);
   const auto v = test::randomState(n, 301);
   AlignedVector<Complex> v1(v.begin(), v.end());
@@ -550,26 +550,26 @@ TEST(DenseBlockPlan, ProbeRejectsUnsuitableGates) {
 TEST(PlanCacheTest, HitsOnRepeatedGateMissesOnNew) {
   const Qubit n = 6;
   dd::Package p{n};
-  PlanCache cache{8};
+  PlanCache cache{p, 8};
   const dd::mEdge rz = p.makeGateDD({qc::GateKind::RZ, 2, {}, {0.5}});
   const dd::mEdge h = p.makeGateDD({qc::GateKind::H, 2, {}, {}});
   p.incRef(rz);
   p.incRef(h);
 
-  const DmavPlan& first = cache.get(p, rz, n, 4, PlanMode::Row);
+  const DmavPlan& first = cache.get(rz, n, 4, PlanMode::Row);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
-  const DmavPlan& again = cache.get(p, rz, n, 4, PlanMode::Row);
+  const DmavPlan& again = cache.get(rz, n, 4, PlanMode::Row);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(&first, &again);  // same cached object
 
-  cache.get(p, h, n, 4, PlanMode::Row);
+  cache.get(h, n, 4, PlanMode::Row);
   EXPECT_EQ(cache.stats().misses, 2u);
   // Different thread count / mode / ident flag are different plans.
-  cache.get(p, rz, n, 2, PlanMode::Row);
-  cache.get(p, rz, n, 4, PlanMode::Cached);
+  cache.get(rz, n, 2, PlanMode::Row);
+  cache.get(rz, n, 4, PlanMode::Cached);
   setIdentFastPath(false);
-  cache.get(p, rz, n, 4, PlanMode::Row);
+  cache.get(rz, n, 4, PlanMode::Row);
   setIdentFastPath(true);
   EXPECT_EQ(cache.stats().misses, 5u);
   EXPECT_EQ(cache.size(), 5u);
@@ -581,22 +581,22 @@ TEST(PlanCacheTest, HitsOnRepeatedGateMissesOnNew) {
 TEST(PlanCacheTest, LruEvictsOldestAtCapacity) {
   const Qubit n = 5;
   dd::Package p{n};
-  PlanCache cache{2};
+  PlanCache cache{p, 2};
   const dd::mEdge a = p.makeGateDD({qc::GateKind::RZ, 0, {}, {0.1}});
   const dd::mEdge b = p.makeGateDD({qc::GateKind::RZ, 1, {}, {0.2}});
   const dd::mEdge c = p.makeGateDD({qc::GateKind::RZ, 2, {}, {0.3}});
   p.incRef(a);
   p.incRef(b);
   p.incRef(c);
-  cache.get(p, a, n, 1, PlanMode::Row);
-  cache.get(p, b, n, 1, PlanMode::Row);
-  cache.get(p, a, n, 1, PlanMode::Row);  // touch a: b becomes oldest
-  cache.get(p, c, n, 1, PlanMode::Row);  // evicts b
+  cache.get(a, n, 1, PlanMode::Row);
+  cache.get(b, n, 1, PlanMode::Row);
+  cache.get(a, n, 1, PlanMode::Row);  // touch a: b becomes oldest
+  cache.get(c, n, 1, PlanMode::Row);  // evicts b
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.size(), 2u);
-  cache.get(p, a, n, 1, PlanMode::Row);  // still cached
+  cache.get(a, n, 1, PlanMode::Row);  // still cached
   EXPECT_EQ(cache.stats().hits, 2u);
-  cache.get(p, b, n, 1, PlanMode::Row);  // recompiled
+  cache.get(b, n, 1, PlanMode::Row);  // recompiled
   EXPECT_EQ(cache.stats().compiles, 4u);
   cache.clear();
   p.decRef(a);
@@ -607,15 +607,15 @@ TEST(PlanCacheTest, LruEvictsOldestAtCapacity) {
 TEST(PlanCacheTest, PinnedRootsSurviveGarbageCollection) {
   const Qubit n = 6;
   dd::Package p{n};
-  PlanCache cache{4};
+  PlanCache cache{p, 4};
   const dd::mEdge m = p.makeGateDD({qc::GateKind::RY, 3, {}, {0.7}});
   p.incRef(m);
-  cache.get(p, m, n, 2, PlanMode::Row);
+  cache.get(m, n, 2, PlanMode::Row);
   p.decRef(m);  // the cache's pin is now the only reference
   p.garbageCollect(true);
   // The pinned root (and its subtree) must not have been recycled: a lookup
   // still hits and the plan still replays correctly.
-  const DmavPlan& plan = cache.get(p, m, n, 2, PlanMode::Row);
+  const DmavPlan& plan = cache.get(m, n, 2, PlanMode::Row);
   EXPECT_EQ(cache.stats().hits, 1u);
   const auto v = test::randomState(n, 96);
   EXPECT_STATE_NEAR(
@@ -626,30 +626,14 @@ TEST(PlanCacheTest, PinnedRootsSurviveGarbageCollection) {
   cache.clear();
 }
 
-TEST(PlanCacheTest, GenerationInvalidatesStandalonePlans) {
-  const Qubit n = 6;
-  dd::Package p{n};
-  const dd::mEdge keep = p.makeGateDD({qc::GateKind::RZ, 1, {}, {0.4}});
-  p.incRef(keep);
-  const DmavPlan plan = compileDmavPlan(keep, n, 2, PlanMode::Row, &p);
-  EXPECT_TRUE(plan.validFor(p));
-  // Build an unreferenced gate DD and collect it: matrix nodes are released
-  // back to the pool, so the generation advances and any standalone plan
-  // keyed by raw pointers must report itself stale.
-  (void)p.makeGateDD({qc::GateKind::U3, 4, {}, {0.3, 0.6, 0.9}});
-  p.garbageCollect(true);
-  EXPECT_FALSE(plan.validFor(p));
-  p.decRef(keep);
-}
-
 TEST(PlanCacheTest, ZeroCapacityCompilesEveryTime) {
   const Qubit n = 5;
   dd::Package p{n};
-  PlanCache cache{0};
+  PlanCache cache{p, 0};
   const dd::mEdge m = p.makeGateDD({qc::GateKind::H, 2, {}, {}});
   p.incRef(m);
-  cache.get(p, m, n, 2, PlanMode::Row);
-  cache.get(p, m, n, 2, PlanMode::Row);
+  cache.get(m, n, 2, PlanMode::Row);
+  cache.get(m, n, 2, PlanMode::Row);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().compiles, 2u);
   EXPECT_EQ(cache.size(), 0u);

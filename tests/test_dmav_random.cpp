@@ -110,7 +110,7 @@ TEST_P(DmavRandom, AllPathsMatchDenseReference) {
 
       // Path 5: explicit compile once, replay twice (plan reuse).
       const DmavPlan plan =
-          compileDmavPlan(m, n, threads, PlanMode::Row, &p);
+          compileDmavPlan(m, n, threads, PlanMode::Row);
       replayPlan(plan, in, out);
       EXPECT_STATE_NEAR(out, ref, kTol) << op.toString() << " replay n=" << n;
       AlignedVector<Complex> out2(v.size());
@@ -154,7 +154,7 @@ TEST(DmavRandomChain, LongRandomCircuitAllPathsAgree) {
     step(rec, [&](auto& v, auto& w) { dmavRecursive(m, n, v, w, t); });
     step(cached, [&](auto& v, auto& w) { dmavCached(m, n, v, w, t, ws1); });
     step(planned, [&](auto& v, auto& w) {
-      const DmavPlan plan = compileDmavPlan(m, n, t, PlanMode::Cached, &p);
+      const DmavPlan plan = compileDmavPlan(m, n, t, PlanMode::Cached);
       replayPlanCached(plan, v, w, ws2);
     });
   }

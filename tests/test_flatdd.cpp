@@ -19,6 +19,19 @@ namespace {
 
 class FlatDDCircuits : public ::testing::TestWithParam<int> {};
 
+/// Feeds `circuit` to `flat` in simulate() calls of `chunk` gates each.
+void simulateInChunks(FlatDDSimulator& flat, const qc::Circuit& circuit,
+                      std::size_t chunk) {
+  const auto& ops = circuit.operations();
+  for (std::size_t lo = 0; lo < ops.size(); lo += chunk) {
+    qc::Circuit part{circuit.numQubits()};
+    for (std::size_t g = lo; g < std::min(lo + chunk, ops.size()); ++g) {
+      part.append(ops[g]);
+    }
+    flat.simulate(part);
+  }
+}
+
 qc::Circuit e2eCircuit(int idx) {
   switch (idx) {
     case 0: return circuits::ghz(10);
@@ -198,8 +211,9 @@ TEST(FlatDD, ChunkedRunsReportCumulativeGateIndices) {
   opt.threads = 1;
   opt.recordPerGate = true;
   opt.forceConversionAtGate = 70;
+  // With 35-gate chunks, gate 70 is the last gate of a call.
   for (const std::size_t chunk : {std::size_t{150}, std::size_t{50},
-                                  std::size_t{0}}) {
+                                  std::size_t{35}, std::size_t{0}}) {
     SCOPED_TRACE(chunk == 0 ? "streaming" : "chunk " + std::to_string(chunk));
     FlatDDSimulator flat{n, opt};
     if (chunk == 0) {
@@ -207,13 +221,7 @@ TEST(FlatDD, ChunkedRunsReportCumulativeGateIndices) {
         flat.applyOperation(op);
       }
     } else {
-      for (std::size_t lo = 0; lo < ops.size(); lo += chunk) {
-        qc::Circuit part{n};
-        for (std::size_t g = lo; g < std::min(lo + chunk, ops.size()); ++g) {
-          part.append(ops[g]);
-        }
-        flat.simulate(part);
-      }
+      simulateInChunks(flat, circuit, chunk);
     }
     const FlatDDStats& s = flat.stats();
     EXPECT_TRUE(s.converted);
@@ -233,6 +241,32 @@ TEST(FlatDD, ChunkedRunsReportCumulativeGateIndices) {
       ASSERT_LT(std::abs(flat.amplitude(i) - array->amplitude(i)), 1e-10)
           << "amplitude " << i;
     }
+  }
+}
+
+TEST(FlatDD, ChunkedRunsReusePlansAsOneCallDoes) {
+  // Cached plans pin their gate roots, so they stay valid across calls and
+  // the garbage collections between them: a circuit fed in 64-gate chunks
+  // (as Session::apply feeds it) hits and compiles exactly as one call
+  // does. DiagRun fusion is off because chunk borders also cut runs.
+  const auto circuit = circuits::randomUniversal(10, 1024, 7);
+  const Qubit n = circuit.numQubits();
+  FlatDDOptions opt;
+  opt.threads = 1;
+  opt.forceConversionAtGate = 1;
+  opt.fuseDiagonalRuns = false;
+
+  FlatDDSimulator whole{n, opt};
+  whole.simulate(circuit);
+  FlatDDSimulator chunked{n, opt};
+  simulateInChunks(chunked, circuit, 64);
+
+  EXPECT_GT(whole.stats().planCacheHits, 0u);
+  EXPECT_EQ(chunked.stats().planCacheHits, whole.stats().planCacheHits);
+  EXPECT_EQ(chunked.stats().planCompiles, whole.stats().planCompiles);
+  for (Index i = 0; i < (Index{1} << n); ++i) {
+    ASSERT_LT(std::abs(chunked.amplitude(i) - whole.amplitude(i)), 1e-12)
+        << "amplitude " << i;
   }
 }
 

@@ -17,16 +17,14 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "circuits/generators.hpp"
 #include "common/json.hpp"
 #include "common/prng.hpp"
-#include "dd/package.hpp"
 #include "engine/backend_factory.hpp"
-#include "flatdd/flatdd_simulator.hpp"
-#include "flatdd/plan_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/admin.hpp"
@@ -313,21 +311,21 @@ SessionConfig makeConfig(Qubit qubits, std::uint64_t seed,
 
 TEST(SvcSession, SameSeedSameGatesSameSamples) {
   const qc::Circuit circuit = circuits::randomUniversal(6, 80, 11);
-  Session a{1, makeConfig(6, 42), nullptr};
-  Session b{2, makeConfig(6, 42), nullptr};
+  Session a{1, makeConfig(6, 42)};
+  Session b{2, makeConfig(6, 42)};
   a.apply(circuit);
   b.apply(circuit);
   EXPECT_EQ(a.sample(64), b.sample(64));
   // Further requests continue the identical stream.
   EXPECT_EQ(a.sample(64), b.sample(64));
 
-  Session c{3, makeConfig(6, 43), nullptr};
+  Session c{3, makeConfig(6, 43)};
   c.apply(circuit);
   EXPECT_NE(a.sample(256), c.sample(256));  // different seed, same state
 }
 
 TEST(SvcSession, SeedLandsInReport) {
-  Session s{1, makeConfig(4, 0xdeadbeefcafef00dULL), nullptr};
+  Session s{1, makeConfig(4, 0xdeadbeefcafef00dULL)};
   const engine::RunReport report = s.report();
   EXPECT_EQ(report.seed, 0xdeadbeefcafef00dULL);
   // And survives the JSON round trip (decimal-string serialization).
@@ -339,7 +337,7 @@ TEST(SvcSession, SeedLandsInReport) {
 TEST(SvcSession, CheckpointRestoreResumesExactTrajectory) {
   const qc::Circuit first = circuits::randomUniversal(6, 60, 21);
   const qc::Circuit second = circuits::randomUniversal(6, 60, 22);
-  Session s{1, makeConfig(6, 7), nullptr};
+  Session s{1, makeConfig(6, 7)};
   s.apply(first);
   const std::uint64_t cp = s.checkpoint();
   EXPECT_EQ(s.gatesApplied(), 60u);
@@ -364,7 +362,7 @@ TEST(SvcSession, CheckpointRestoreResumesExactTrajectory) {
 
 TEST(SvcSession, IncrementalApplyMatchesOneShot) {
   const qc::Circuit circuit = circuits::randomUniversal(7, 180, 31);
-  Session incremental{1, makeConfig(7, 5), nullptr};
+  Session incremental{1, makeConfig(7, 5)};
   // Apply in 3 uneven chunks.
   const auto& ops = circuit.operations();
   const std::size_t cuts[] = {50, 130, ops.size()};
@@ -378,7 +376,7 @@ TEST(SvcSession, IncrementalApplyMatchesOneShot) {
     begin = end;
   }
 
-  Session oneShot{2, makeConfig(7, 5), nullptr};
+  Session oneShot{2, makeConfig(7, 5)};
   oneShot.apply(circuit);
   for (const Index i : {Index{0}, Index{1}, Index{77}, Index{127}}) {
     const Complex a = incremental.amplitude(i);
@@ -404,7 +402,7 @@ TEST(SvcSession, PhaseSecondsAccumulateAcrossChunks) {
     } else {
       cfg.engine.ewmaMinDDSize = std::size_t{1} << 20;
     }
-    Session s{1, std::move(cfg), nullptr};
+    Session s{1, std::move(cfg)};
     s.apply(longChunk);
     const engine::RunReport first = s.report();
     ASSERT_EQ(first.converted, convert);
@@ -417,145 +415,16 @@ TEST(SvcSession, PhaseSecondsAccumulateAcrossChunks) {
 }
 
 TEST(SvcSession, ApplyChecksQubitCount) {
-  Session s{1, makeConfig(4, 0), nullptr};
+  Session s{1, makeConfig(4, 0)};
   EXPECT_THROW(s.apply(qc::Circuit{5, "wrong"}), std::invalid_argument);
 }
 
 TEST(SvcSession, CancelledApplyThrows) {
-  Session s{1, makeConfig(5, 0), nullptr};
+  Session s{1, makeConfig(5, 0)};
   par::CancelSource source;
   source.requestCancel();
   const qc::Circuit circuit = circuits::randomUniversal(5, 10, 3);
   EXPECT_THROW(s.apply(circuit, source.token()), CancelledError);
-}
-
-// ---------------------------------------------------------------------------
-// Shared PlanCache
-// ---------------------------------------------------------------------------
-
-TEST(SharedPlanCache, ClearPackageDropsOnlyThatPackage) {
-  const Qubit n = 5;
-  dd::Package p1{n};
-  dd::Package p2{n};
-  flat::PlanCache cache{8};
-  const dd::mEdge g1 = p1.makeGateDD({qc::GateKind::RZ, 0, {}, {0.3}});
-  const dd::mEdge g2 = p2.makeGateDD({qc::GateKind::RZ, 0, {}, {0.3}});
-  p1.incRef(g1);
-  p2.incRef(g2);
-  (void)cache.getShared(p1, g1, n, 1, flat::PlanMode::Row);
-  (void)cache.getShared(p2, g2, n, 1, flat::PlanMode::Row);
-  EXPECT_EQ(cache.size(), 2u);  // keys embed the package: no false sharing
-
-  cache.clearPackage(p1);
-  EXPECT_EQ(cache.size(), 1u);
-  bool hit = false;
-  (void)cache.getShared(p2, g2, n, 1, flat::PlanMode::Row, &hit);
-  EXPECT_TRUE(hit);  // p2's entry untouched
-  cache.clearPackage(p2);
-  p1.decRef(g1);
-  p2.decRef(g2);
-}
-
-TEST(SharedPlanCache, GenerationGuardRejectsStaleHits) {
-  const Qubit n = 5;
-  dd::Package p{n};
-  flat::PlanCache cache{8};
-  const dd::mEdge g = p.makeGateDD({qc::GateKind::RY, 1, {}, {0.4}});
-  p.incRef(g);
-  (void)cache.getShared(p, g, n, 1, flat::PlanMode::Row);
-  EXPECT_EQ(cache.stats().staleHits, 0u);
-
-  // Recycle unrelated matrix nodes: the generation advances, so the cached
-  // entry — though its pinned root is intact — must be conservatively
-  // recompiled rather than replayed against a changed arena.
-  (void)p.makeGateDD({qc::GateKind::U3, 3, {}, {0.1, 0.2, 0.3}});
-  p.garbageCollect(true);
-
-  bool hit = true;
-  const auto plan = cache.getShared(p, g, n, 1, flat::PlanMode::Row, &hit);
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(cache.stats().staleHits, 1u);
-  EXPECT_EQ(cache.stats().compiles, 2u);
-  EXPECT_TRUE(plan->validFor(p));
-  cache.clearPackage(p);
-  p.decRef(g);
-}
-
-TEST(SharedPlanCache, HeldPlanSurvivesEviction) {
-  const Qubit n = 4;
-  dd::Package p{n};
-  flat::PlanCache cache{1};
-  const dd::mEdge a = p.makeGateDD({qc::GateKind::RZ, 0, {}, {0.1}});
-  const dd::mEdge b = p.makeGateDD({qc::GateKind::RZ, 1, {}, {0.2}});
-  p.incRef(a);
-  p.incRef(b);
-  const auto planA = cache.getShared(p, a, n, 1, flat::PlanMode::Row);
-  const auto planB = cache.getShared(p, b, n, 1, flat::PlanMode::Row);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.size(), 1u);
-  // planA was evicted from the cache but our shared_ptr keeps it alive and
-  // replayable (plans are self-contained op streams).
-  AlignedVector<Complex> v(Index{1} << n, Complex{0});
-  v[0] = Complex{1, 0};
-  AlignedVector<Complex> w(v.size());
-  replayPlan(*planA, v, w);
-  EXPECT_NEAR(std::abs(w[0]), 1.0, 1e-12);
-  cache.clearPackage(p);
-  p.decRef(a);
-  p.decRef(b);
-}
-
-TEST(SharedPlanCache, CrossPackageEvictionParksThePin) {
-  const Qubit n = 4;
-  dd::Package p1{n};
-  dd::Package p2{n};
-  flat::PlanCache cache{1};
-  const dd::mEdge g1 = p1.makeGateDD({qc::GateKind::RZ, 0, {}, {0.5}});
-  const dd::mEdge g2 = p2.makeGateDD({qc::GateKind::RZ, 0, {}, {0.5}});
-  p1.incRef(g1);
-  p2.incRef(g2);
-  (void)cache.getShared(p1, g1, n, 1, flat::PlanMode::Row);
-  // p2's miss evicts p1's entry; the unpin of p1's root must be deferred
-  // (parked), not performed on p2's calling thread.
-  (void)cache.getShared(p2, g2, n, 1, flat::PlanMode::Row);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  // p1's next call drains its parked pin; afterwards the root is collectable
-  // once the external ref is dropped. No crash/leak is the contract here.
-  (void)cache.getShared(p1, g1, n, 1, flat::PlanMode::Row);
-  cache.clearPackage(p1);
-  cache.clearPackage(p2);
-  p1.decRef(g1);
-  p2.decRef(g2);
-  p1.garbageCollect(true);
-  p2.garbageCollect(true);
-}
-
-TEST(SharedPlanCache, TwoSimulatorsShareOneCache) {
-  flat::PlanCache cache{64};
-  flat::FlatDDOptions options;
-  options.threads = 1;
-  options.forceConversionAtGate = 0;  // straight to the DMAV phase
-  options.sharedPlanCache = &cache;
-  const qc::Circuit circuit = circuits::randomUniversal(5, 60, 17);
-
-  auto sim1 = std::make_unique<flat::FlatDDSimulator>(5, options);
-  auto sim2 = std::make_unique<flat::FlatDDSimulator>(5, options);
-  sim1->simulate(circuit);
-  sim2->simulate(circuit);
-  EXPECT_GT(cache.stats().compiles, 0u);
-  EXPECT_GT(cache.size(), 0u);
-  // Identical circuits still compile per package (keys embed the package) —
-  // both simulators hit only within their own session stream.
-  EXPECT_GT(sim1->stats().planCacheHits, 0u);
-  EXPECT_GT(sim2->stats().planCacheHits, 0u);
-
-  const Complex before = sim2->amplitude(3);
-  sim1.reset();  // destructor must clear only sim1's entries
-  EXPECT_GT(cache.size(), 0u);
-  EXPECT_EQ(sim2->amplitude(3), before);
-  sim2->simulate(circuits::randomUniversal(5, 20, 18));  // still usable
-  sim2.reset();
-  EXPECT_EQ(cache.size(), 0u);  // everything unpinned and dropped
 }
 
 // ---------------------------------------------------------------------------
@@ -575,7 +444,8 @@ TEST(SvcSessionManager, OpenFindClose) {
   EXPECT_EQ(manager.sessionCount(), 1u);
 }
 
-TEST(SvcSessionManager, ConcurrentSessionsMatchSequentialReplay) {
+void checkConcurrentSessionsMatchSequentialReplay(
+    std::optional<std::size_t> forceConversionAtGate) {
   constexpr unsigned kSessions = 8;
   constexpr unsigned kBatches = 3;
   constexpr Qubit kQubits = 6;
@@ -584,11 +454,16 @@ TEST(SvcSessionManager, ConcurrentSessionsMatchSequentialReplay) {
     return circuits::randomUniversal(kQubits, 40,
                                      1000 + 100 * session + batch);
   };
+  const auto configFor = [&](unsigned session) {
+    SessionConfig cfg = makeConfig(kQubits, 500 + session);
+    cfg.engine.forceConversionAtGate = forceConversionAtGate;
+    return cfg;
+  };
 
   SessionManager manager{withWorkers(4)};
   std::vector<std::shared_ptr<Session>> sessions;
   for (unsigned i = 0; i < kSessions; ++i) {
-    sessions.push_back(manager.open(makeConfig(kQubits, 500 + i)));
+    sessions.push_back(manager.open(configFor(i)));
   }
   // Interleave submission round-robin so different sessions' jobs overlap
   // in the queue; per-session order is still batch 0, 1, 2.
@@ -616,9 +491,14 @@ TEST(SvcSessionManager, ConcurrentSessionsMatchSequentialReplay) {
 
   // Sequential ground truth: same seeds, same batches, one at a time.
   for (unsigned i = 0; i < kSessions; ++i) {
-    Session replay{9000 + i, makeConfig(kQubits, 500 + i), nullptr};
+    Session replay{9000 + i, configFor(i)};
     for (unsigned b = 0; b < kBatches; ++b) {
       replay.apply(batchFor(i, b));
+    }
+    if (forceConversionAtGate) {
+      const engine::RunReport r = sessions[i]->report();
+      EXPECT_TRUE(r.converted);
+      EXPECT_GT(r.planCacheHits, 0u);
     }
     EXPECT_EQ(replay.sample(128), samples[i]) << "session " << i;
     for (const Index idx : {Index{0}, Index{13}, Index{63}}) {
@@ -628,6 +508,17 @@ TEST(SvcSessionManager, ConcurrentSessionsMatchSequentialReplay) {
       EXPECT_NEAR(a.imag(), e.imag(), 1e-9);
     }
     EXPECT_EQ(sessions[i]->gatesApplied(), kBatches * 40u);
+  }
+}
+
+TEST(SvcSessionManager, ConcurrentSessionsMatchSequentialReplay) {
+  // Run once on the EWMA trigger and once with a forced conversion at gate
+  // 20, so the sessions also replay DMAV plans from their own caches while
+  // other sessions run on the other workers.
+  for (const std::optional<std::size_t> forced :
+       {std::optional<std::size_t>{}, std::optional<std::size_t>{20}}) {
+    SCOPED_TRACE(forced ? "forced conversion at gate 20" : "EWMA trigger");
+    checkConcurrentSessionsMatchSequentialReplay(forced);
   }
 }
 
@@ -1007,11 +898,14 @@ TEST(SvcSlowLog, WritesJsonlRecordsWithRequestId) {
     ServiceConfig cfg = withWorkers(1);
     cfg.slowLogPath = path;
     cfg.slowRequestMs = 0;  // log every request
+    // Convert after the first gate, so the repeated H below replays one
+    // cached DMAV plan: 1 compile, then 2 hits.
+    cfg.engineDefaults.forceConversionAtGate = 1;
     Service service{cfg};
     ASSERT_TRUE(responseOk(
         service.handleLine(R"({"op":"open","qubits":2,"seed":1})")));
     ASSERT_TRUE(responseOk(service.handleLine(
-        R"({"op":"apply","session":1,"request_id":"8675309","gates":[{"gate":"h","target":0}]})")));
+        R"({"op":"apply","session":1,"request_id":"8675309","gates":[{"gate":"h","target":0},{"gate":"h","target":0},{"gate":"h","target":0},{"gate":"h","target":0}]})")));
     ASSERT_TRUE(responseOk(service.handleLine(
         R"({"op":"sample","session":1,"shots":8})")));
     EXPECT_TRUE(service.sessions().slowLog().enabled());
@@ -1022,6 +916,7 @@ TEST(SvcSlowLog, WritesJsonlRecordsWithRequestId) {
   std::string line;
   int entries = 0;
   bool sawApply = false;
+  bool sawSample = false;
   while (std::getline(in, line)) {
     if (line.empty()) {
       continue;
@@ -1030,18 +925,26 @@ TEST(SvcSlowLog, WritesJsonlRecordsWithRequestId) {
     const json::Object& obj = asObject(v);
     EXPECT_EQ(*obj.find("event")->second.string(), "slow_request");
     ++entries;
-    if (*obj.find("op")->second.string() == "apply") {
+    const std::string& op = *obj.find("op")->second.string();
+    // Each entry carries its own request's plan-cache hits.
+    const double hits = *obj.find("plan_cache_hits")->second.number();
+    if (op == "apply") {
       sawApply = true;
       EXPECT_EQ(*obj.find("request_id")->second.string(), "8675309");
       EXPECT_EQ(*obj.find("session")->second.number(), 1);
       EXPECT_TRUE(obj.find("queue_wait_ms") != obj.end());
       EXPECT_TRUE(obj.find("exec_ms") != obj.end());
       EXPECT_TRUE(obj.find("simd_tier") != obj.end());
-      EXPECT_EQ(*obj.find("gates")->second.number(), 1);
+      EXPECT_EQ(*obj.find("gates")->second.number(), 4);
+      EXPECT_EQ(hits, 2);
+    } else if (op == "sample") {
+      sawSample = true;
+      EXPECT_EQ(hits, 0);
     }
   }
   EXPECT_GE(entries, 2);
   EXPECT_TRUE(sawApply);
+  EXPECT_TRUE(sawSample);
   std::remove(path.c_str());
 }
 

@@ -50,7 +50,6 @@ struct Options {
   int metricsPort = -1;  // <0: no admin listener
   unsigned workers = 4;
   unsigned threads = 1;
-  std::size_t planCacheCapacity = 256;
   std::string traceFile;
   std::string slowLogFile;
   double slowMs = 250;
@@ -66,8 +65,6 @@ void printUsage() {
          "  --workers N         job-queue worker threads (default 4)\n"
          "  --threads N         default simulation threads per session "
          "(default 1)\n"
-         "  --plan-cache N      shared DMAV plan cache capacity (default "
-         "256)\n"
          "  --trace FILE        enable obs, write a Chrome trace on exit\n"
          "  --slow-log FILE     append JSONL records for slow requests\n"
          "  --slow-ms N         slow-request threshold in ms (default 250;\n"
@@ -97,8 +94,6 @@ Options parseArgs(int argc, char** argv) {
       opt.workers = static_cast<unsigned>(std::stoul(value()));
     } else if (arg == "--threads") {
       opt.threads = static_cast<unsigned>(std::stoul(value()));
-    } else if (arg == "--plan-cache") {
-      opt.planCacheCapacity = std::stoul(value());
     } else if (arg == "--trace") {
       opt.traceFile = value();
     } else if (arg == "--help" || arg == "-h") {
@@ -277,7 +272,6 @@ int main(int argc, char** argv) {
 
   ServiceConfig config;
   config.workers = opt.workers;
-  config.planCacheCapacity = opt.planCacheCapacity;
   config.engineDefaults.threads = opt.threads;
   config.slowLogPath = opt.slowLogFile;
   config.slowRequestMs = opt.slowMs;
