@@ -2,10 +2,8 @@
 // every tier available on this host (setDispatchTier flips the table
 // in-process, so scalar, AVX2 and AVX-512 run in one invocation on identical
 // buffers). Reports ns/amplitude and the per-tier speedup per kernel, per
-// working-set size, and — for the comb kernels — per stride; then times the
-// fused-op shapes (a DiagRun sweep vs the per-gate sweep sequence it
-// replaces, a DenseBlock column tile vs the butterfly passes it replaces)
-// and emits BENCH_kernels.json for CI.
+// working-set size, and — for the comb kernel — per stride, and emits
+// BENCH_kernels.json for CI.
 //
 // The speedup columns are the d of Eq. 6 made observable: the cost model
 // divides the flat-array term by the *measured* effective width
@@ -14,7 +12,6 @@
 // refresh kCalibration in src/simd/calibration.cpp.
 
 #include <array>
-#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -65,18 +62,6 @@ AlignedVector<Complex> randomBuf(std::size_t n, std::uint64_t seed) {
   AlignedVector<Complex> v(n);
   for (auto& z : v) {
     z = Complex{rng.uniform(-1, 1), rng.uniform(-1, 1)};
-  }
-  return v;
-}
-
-/// Unit-modulus random phases: safe for repeated in-place multiplication
-/// (values neither decay into denormals nor blow up).
-AlignedVector<Complex> randomPhases(std::size_t n, std::uint64_t seed) {
-  Xoshiro256 rng{seed};
-  AlignedVector<Complex> v(n);
-  for (auto& z : v) {
-    const double t = rng.uniform(-3.14159265358979, 3.14159265358979);
-    z = Complex{std::cos(t), std::sin(t)};
   }
   return v;
 }
@@ -162,15 +147,10 @@ AlignedVector<Complex>& bufX() {
   static AlignedVector<Complex> v = randomBuf(kMaxAmps, 2);
   return v;
 }
-AlignedVector<Complex>& bufY() {
-  static AlignedVector<Complex> v = randomBuf(kMaxAmps, 3);
-  return v;
-}
 
 std::vector<KernelResult> runSuite() {
   static AlignedVector<Complex>& out = bufOut();
   static AlignedVector<Complex>& x = bufX();
-  static AlignedVector<Complex>& y = bufY();
   // The butterfly kernels mutate both operands in place, so they get their
   // own buffers; u is unitary and the scale factors are unit-modulus so
   // repeated application keeps every value in the normal double range
@@ -180,25 +160,10 @@ std::vector<KernelResult> runSuite() {
   static AlignedVector<Complex> bf2 = randomBuf(kMaxAmps, 5);
   static double sink = 0;
   const Complex a{0.6, 0.8};
-  const Complex b{-0.8, 0.6};
   static const Complex u[4] = {{0.6, 0.0}, {0.8, 0.0}, {0.8, 0.0}, {-0.6, 0.0}};
-  // Row-major 4x4 (two-qubit) and 8x8 (three-qubit) unitaries for the
-  // DenseBlock column kernel: tensor powers of u stay unitary.
-  static std::array<Complex, 64> u4{};
-  static std::array<Complex, 64> u8{};
-  for (unsigned r = 0; r < 4; ++r) {
-    for (unsigned c = 0; c < 4; ++c) {
-      u4[r * 4 + c] = u[(r >> 1) * 2 + (c >> 1)] * u[(r & 1) * 2 + (c & 1)];
-    }
-  }
-  for (unsigned r = 0; r < 8; ++r) {
-    for (unsigned c = 0; c < 8; ++c) {
-      u8[r * 8 + c] = u[(r >> 2) * 2 + (c >> 2)] * u4[(r & 3) * 4 + (c & 3)];
-    }
-  }
 
-  // Contiguous kernels sweep 2^12..2^20; the comb kernels (4 strides each)
-  // run at three sizes to keep the suite a few seconds per tier.
+  // Contiguous kernels sweep 2^12..2^20; the comb kernel (4 strides) runs
+  // at three sizes to keep the suite a few seconds per tier.
   const std::vector<std::size_t> sizes = {
       std::size_t{1} << 12, std::size_t{1} << 14, std::size_t{1} << 16,
       std::size_t{1} << 18, kMaxAmps};
@@ -213,40 +178,19 @@ std::vector<KernelResult> runSuite() {
                      }});
     cases.push_back({"accumulate", n, 1,
                      [n] { simd::accumulate(out.data(), x.data(), n); }});
-    cases.push_back({"mac2", n, 1, [n, a, b] {
-                       simd::mac2(out.data(), x.data(), a, y.data(), b, n);
-                     }});
     cases.push_back({"butterfly", n, 1, [n] {
                        simd::butterfly(bf1.data(), bf2.data(), u, n);
                      }});
     cases.push_back({"butterflyAdjacent", n, 1, [n] {
                        simd::butterflyAdjacent(bf1.data(), u, n / 2);
                      }});
-    cases.push_back({"mulPointwise", n, 1, [n] {
-                       simd::mulPointwise(out.data(), x.data(), y.data(), n);
-                     }});
-    for (const unsigned m : {4u, 8u}) {
-      const std::size_t span = n / m;
-      cases.push_back({"denseColumns m=" + std::to_string(m), n, 1,
-                       [m, span] {
-                         const Complex* in[8];
-                         Complex* o[8];
-                         for (unsigned j = 0; j < m; ++j) {
-                           in[j] = x.data() + j * span;
-                           o[j] = out.data() + j * span;
-                         }
-                         simd::denseColumns(o, in,
-                                            m == 4 ? u4.data() : u8.data(),
-                                            m, span);
-                       }});
-    }
     cases.push_back({"normSquared", n, 1, [n] {
                        sink += simd::normSquared(x.data(), n);
                      }});
   }
   for (const std::size_t n : combSizes) {
-    // Comb kernels at the strides the plan compiler emits: stride 2^(q+1)
-    // with len = stride/2 for a low-qubit gate on q (period-2 collapse).
+    // Combs at the shapes of a gate on a low qubit q: stride 2^(q+1) with
+    // len = stride/2.
     for (const std::size_t stride : {2u, 8u, 64u, 256u}) {
       const std::size_t len = stride / 2;
       const std::size_t count = n / stride;
@@ -256,35 +200,19 @@ std::vector<KernelResult> runSuite() {
                          simd::scaleStrided(out.data(), x.data(), a, count,
                                             len, stride);
                        }});
-      cases.push_back({"macStrided" + tag, count * len, stride,
-                       [count, len, stride, a] {
-                         simd::macStrided(out.data(), x.data(), a, count,
-                                          len, stride);
-                       }});
-      cases.push_back({"mac2Strided" + tag, count * len, stride,
-                       [count, len, stride, a, b] {
-                         simd::mac2Strided(out.data(), x.data(), a, y.data(),
-                                           b, count, len, stride);
-                       }});
     }
   }
 
-  // Replay-shaped MAC: DMAV MacSpans read a streaming 2^20-amplitude input
-  // but accumulate into block-sized partial-output buffers that stay
-  // cache-hot across spans (Eq. 6's b buffers). One call sweeps the whole
-  // input, so the row reports ns per input amplitude at a 2^20 working set
-  // without charging the artificial cost of also streaming the output.
+  // DMAV-shaped MAC: Run reads a streaming 2^20-amplitude input but
+  // accumulates into block-sized output spans that stay cache-hot across
+  // calls (Eq. 6's b buffers). One call sweeps the whole input, so the row
+  // reports ns per input amplitude at a 2^20 working set without charging
+  // the artificial cost of also streaming the output.
   static constexpr std::size_t kSpan = std::size_t{1} << 9;
   cases.push_back({"scaleAccumulate/hot-out", kMaxAmps, 1, [a] {
                      for (std::size_t off = 0; off < kMaxAmps; off += kSpan) {
                        simd::scaleAccumulate(out.data(), x.data() + off, a,
                                              kSpan);
-                     }
-                   }});
-  cases.push_back({"mac2/hot-out", kMaxAmps, 1, [a, b] {
-                     for (std::size_t off = 0; off < kMaxAmps; off += kSpan) {
-                       simd::mac2(out.data(), x.data() + off, a,
-                                  y.data() + off, b, kSpan);
                      }
                    }});
 
@@ -311,115 +239,6 @@ std::vector<KernelResult> runSuite() {
 }
 
 // ---------------------------------------------------------------------------
-// Fused-op shapes: passes over memory are the acceptance metric on a
-// single-core container — each fused op must replace k sweeps with one.
-// ---------------------------------------------------------------------------
-
-/// A run of 4 diagonal gates: unfused DMAV applies one full-array sweep per
-/// gate (4 passes); the fused DiagRun plan applies the combined per-index
-/// phase table in a single mulPointwise pass.
-struct DiagRunBench {
-  std::size_t amps = kMaxAmps;
-  std::size_t gates = 4;
-  int passesSequence = 4;
-  int passesFused = 1;
-  double sequenceNs = 0;  // per amplitude, all 4 per-gate sweeps
-  double fusedNs = 0;     // per amplitude, the single fused sweep
-  double speedup = 0;
-  bool pass = false;  // acceptance: >= 2x at 2^20 amps
-};
-
-DiagRunBench measureDiagRun() {
-  static AlignedVector<Complex> state = randomPhases(kMaxAmps, 11);
-  static std::array<AlignedVector<Complex>, 4> diag = {
-      randomPhases(kMaxAmps, 12), randomPhases(kMaxAmps, 13),
-      randomPhases(kMaxAmps, 14), randomPhases(kMaxAmps, 15)};
-  static AlignedVector<Complex> fusedDiag = [] {
-    AlignedVector<Complex> d(kMaxAmps, Complex{1.0});
-    for (const auto& g : diag) {
-      simd::mulPointwise(d.data(), d.data(), g.data(), kMaxAmps);
-    }
-    return d;
-  }();
-
-  DiagRunBench r;
-  const KernelCase sequence{"diag-sequence", kMaxAmps, 1, [] {
-                              for (const auto& g : diag) {
-                                simd::mulPointwise(state.data(), state.data(),
-                                                   g.data(), kMaxAmps);
-                              }
-                            }};
-  const KernelCase fused{"diag-fused", kMaxAmps, 1, [] {
-                           simd::mulPointwise(state.data(), state.data(),
-                                              fusedDiag.data(), kMaxAmps);
-                         }};
-  const std::size_t iters = 4;
-  r.sequenceNs = timeKernel(sequence, iters);
-  r.fusedNs = timeKernel(fused, iters);
-  r.speedup = r.fusedNs > 0 ? r.sequenceNs / r.fusedNs : 0;
-  r.pass = r.speedup >= 2.0;
-  return r;
-}
-
-/// A fused two-qubit dense gate: the unfused replay runs one full V -> W
-/// pass per constituent single-qubit gate, and each pass is a zero-fill
-/// plus two accumulating mac2 half-sweeps (what the plan compiler emits for
-/// a top-qubit dense gate — see HighQubitHadamardFusesToTwoMac2SpansPerBlock
-/// in tests/test_dmav_plan.cpp). The DenseBlock plan applies the full 4x4 in
-/// one exclusive denseColumns pass, no zero-fill.
-struct DenseBlockBench {
-  std::size_t amps = kMaxAmps;
-  int passesSequence = 2;
-  int passesFused = 1;
-  double sequenceNs = 0;
-  double fusedNs = 0;
-  double speedup = 0;
-};
-
-DenseBlockBench measureDenseBlock() {
-  static AlignedVector<Complex> v = randomBuf(kMaxAmps, 21);
-  static AlignedVector<Complex> w = randomBuf(kMaxAmps, 22);
-  static const Complex u[4] = {
-      {0.6, 0.0}, {0.8, 0.0}, {0.8, 0.0}, {-0.6, 0.0}};
-  static std::array<Complex, 64> u4{};
-  for (unsigned r = 0; r < 4; ++r) {
-    for (unsigned c = 0; c < 4; ++c) {
-      u4[r * 4 + c] = u[(r >> 1) * 2 + (c >> 1)] * u[(r & 1) * 2 + (c & 1)];
-    }
-  }
-  constexpr std::size_t kHalf = kMaxAmps / 2;
-  constexpr std::size_t kQuarter = kMaxAmps / 4;
-
-  DenseBlockBench r;
-  const KernelCase sequence{
-      "dense-mac2-passes", kMaxAmps, 1, [] {
-        Complex* in = v.data();
-        Complex* out = w.data();
-        for (int gate = 0; gate < 2; ++gate) {
-          simd::zeroFill(out, kMaxAmps);
-          simd::mac2(out, in, u[0], in + kHalf, u[1], kHalf);
-          simd::mac2(out + kHalf, in, u[2], in + kHalf, u[3], kHalf);
-          std::swap(in, out);
-        }
-      }};
-  const KernelCase fused{"dense-block", kMaxAmps, 1, [] {
-                           const Complex* in[4];
-                           Complex* out[4];
-                           for (unsigned j = 0; j < 4; ++j) {
-                             in[j] = v.data() + j * kQuarter;
-                             out[j] = w.data() + j * kQuarter;
-                           }
-                           simd::denseColumns(out, in, u4.data(), 4,
-                                              kQuarter);
-                         }};
-  const std::size_t iters = 4;
-  r.sequenceNs = timeKernel(sequence, iters);
-  r.fusedNs = timeKernel(fused, iters);
-  r.speedup = r.fusedNs > 0 ? r.sequenceNs / r.fusedNs : 0;
-  return r;
-}
-
-// ---------------------------------------------------------------------------
 // Calibration: scalarNs / tierNs per kernel class at 2^20 amps — the
 // measured effective widths that refresh kCalibration in
 // src/simd/calibration.cpp (and through it Eq. 5/6 and the EWMA trigger).
@@ -436,22 +255,14 @@ struct CalibrationRow {
 std::vector<CalibrationRow> measureCalibration() {
   static AlignedVector<Complex>& out = bufOut();
   static AlignedVector<Complex>& x = bufX();
-  static AlignedVector<Complex>& y = bufY();
   static AlignedVector<Complex> bf = randomBuf(kMaxAmps, 31);
   static double sink = 0;
   const Complex a{0.6, 0.8};
-  const Complex b{-0.8, 0.6};
   static const Complex u[4] = {
       {0.6, 0.0}, {0.8, 0.0}, {0.8, 0.0}, {-0.6, 0.0}};
-  static std::array<Complex, 16> u4{};
-  for (unsigned r = 0; r < 4; ++r) {
-    for (unsigned c = 0; c < 4; ++c) {
-      u4[r * 4 + c] = u[(r >> 1) * 2 + (c >> 1)] * u[(r & 1) * 2 + (c & 1)];
-    }
-  }
   constexpr std::size_t n = kMaxAmps;
 
-  // The Mac/Mac2 probes use the replay shape (streaming input, cache-hot
+  // The Mac probe uses the DMAV shape (streaming input, cache-hot
   // block-sized output) — that is the memory pattern Eq. 6's sweep term
   // actually models; full-streaming MACs are DRAM-bound and would report
   // width ~1 regardless of tier.
@@ -463,35 +274,14 @@ std::vector<CalibrationRow> measureCalibration() {
             simd::scaleAccumulate(out.data(), x.data() + off, a, kSpan);
           }
         }}},
-      {simd::KernelClass::Mac2,
-       {"mac2/hot-out", n, 1, [a, b] {
-          for (std::size_t off = 0; off < n; off += kSpan) {
-            simd::mac2(out.data(), x.data() + off, a, y.data() + off, b,
-                       kSpan);
-          }
-        }}},
       {simd::KernelClass::Butterfly,
        {"butterfly", n, 1,
         [] { simd::butterfly(bf.data(), bf.data() + n / 2, u, n / 2); }}},
-      {simd::KernelClass::Diag,
-       {"mulPointwise", n, 1,
-        [] { simd::mulPointwise(out.data(), x.data(), y.data(), n); }}},
-      {simd::KernelClass::Dense,
-       {"denseColumns m=4", n, 1, [] {
-          const Complex* in[4];
-          Complex* o[4];
-          for (unsigned j = 0; j < 4; ++j) {
-            in[j] = x.data() + j * (n / 4);
-            o[j] = out.data() + j * (n / 4);
-          }
-          simd::denseColumns(o, in, u4.data(), 4, n / 4);
-        }}},
       {simd::KernelClass::Norm,
        {"normSquared", n, 1,
         [] { sink += simd::normSquared(x.data(), n); }}},
   };
-  static const char* kClassNames[] = {"Mac",  "Mac2",  "Butterfly",
-                                      "Diag", "Dense", "Norm"};
+  static const char* kClassNames[] = {"Mac", "Butterfly", "Norm"};
 
   std::vector<CalibrationRow> rows;
   const std::vector<simd::DispatchTier> tiers = availableTiers();
@@ -530,8 +320,6 @@ int run() {
   const simd::DispatchTier startupTier = simd::activeTier();
 
   const std::vector<KernelResult> results = runSuite();
-  const DiagRunBench diagRun = measureDiagRun();
-  const DenseBlockBench denseBlock = measureDenseBlock();
   const std::vector<CalibrationRow> calibration = measureCalibration();
   simd::setDispatchTier(startupTier);
 
@@ -564,16 +352,6 @@ int run() {
   }
   table.print();
   std::printf("\n");
-
-  std::printf("DiagRun (4 diagonal gates, 2^20 amps): %d passes "
-              "%.3f ns/amp -> %d pass %.3f ns/amp, %.2fx %s\n",
-              diagRun.passesSequence, diagRun.sequenceNs, diagRun.passesFused,
-              diagRun.fusedNs, diagRun.speedup,
-              diagRun.pass ? "PASS (>=2x)" : "FAIL (<2x)");
-  std::printf("DenseBlock (fused 2-qubit gate, 2^20 amps): %d passes "
-              "%.3f ns/amp -> %d pass %.3f ns/amp, %.2fx\n\n",
-              denseBlock.passesSequence, denseBlock.sequenceNs,
-              denseBlock.passesFused, denseBlock.fusedNs, denseBlock.speedup);
 
   Table calTable({"Class", "scalar ns", "avx2 width", "avx512 width",
                   "table avx2", "table avx512"});
@@ -626,24 +404,6 @@ int run() {
     w.endObject();
   }
   w.endArray();
-  w.key("diagRun").beginObject();
-  w.kv("gates", static_cast<std::uint64_t>(diagRun.gates));
-  w.kv("amps", static_cast<std::uint64_t>(diagRun.amps));
-  w.kv("passesSequence", std::uint64_t{4});
-  w.kv("passesFused", std::uint64_t{1});
-  w.kv("sequenceNsPerAmp", diagRun.sequenceNs);
-  w.kv("fusedNsPerAmp", diagRun.fusedNs);
-  w.kv("speedup", diagRun.speedup);
-  w.kv("pass", diagRun.pass);
-  w.endObject();
-  w.key("denseBlock").beginObject();
-  w.kv("amps", static_cast<std::uint64_t>(denseBlock.amps));
-  w.kv("passesSequence", std::uint64_t{2});
-  w.kv("passesFused", std::uint64_t{1});
-  w.kv("sequenceNsPerAmp", denseBlock.sequenceNs);
-  w.kv("fusedNsPerAmp", denseBlock.fusedNs);
-  w.kv("speedup", denseBlock.speedup);
-  w.endObject();
   w.key("calibration").beginArray();
   for (const CalibrationRow& row : calibration) {
     w.beginObject();

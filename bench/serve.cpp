@@ -293,7 +293,7 @@ void runClient(const Options& opt, Service* inProcess, unsigned index,
     open.field("backend", "flatdd");
     open.field("qubits", static_cast<int>(opt.qubits));
     open.field("seed", std::to_string(seed));
-    // Pin the thread count: the DMAV plan partitioning (and with it the fp
+    // Pin the thread count: the DMAV task partitioning (and with it the fp
     // summation order) depends on it, and verification compares responses
     // byte-for-byte against a local replay.
     open.field("threads", opt.threads);

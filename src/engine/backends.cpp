@@ -206,13 +206,6 @@ class FlatDDBackend final : public Backend {
     report.dmavGates = st.dmavGates;
     report.cachedGates = st.cachedGates;
     report.cacheHits = st.cacheHits;
-    report.planCacheHits = st.planCacheHits;
-    report.planCacheMisses = st.planCacheMisses;
-    report.planCompiles = st.planCompiles;
-    report.diagRuns = st.diagRuns;
-    report.diagRunGates = st.diagRunGates;
-    report.denseBlockGates = st.denseBlockGates;
-    report.planCompileSeconds = st.planCompileSeconds;
     report.dmavReplaySeconds = st.dmavReplaySeconds;
     report.peakDDSize = st.peakDDSize;
     report.dmavModelCost = st.dmavModelCost;

@@ -47,15 +47,6 @@ struct EngineOptions {
   bool forceCaching = false;
   unsigned kOperations = 4;  // k for the "fusion-kops" pass
 
-  // ---- DMAV plan compiler (flatdd backend) ------------------------------
-  /// Execute DMAV through compiled plans from the backend's own bounded LRU
-  /// cache (flat::kPlanCacheCapacity plans); off selects the pre-plan
-  /// recursive path (for ablation benchmarks).
-  bool usePlanCache = true;
-  /// Collapse runs of consecutive diagonal gates into one fused DiagRun
-  /// sweep during the DMAV phase (simulate() only; requires usePlanCache).
-  bool fuseDiagonalRuns = true;
-
   // ---- reporting --------------------------------------------------------
   /// Record a per-gate (index, phase, seconds, DD size) trace in the
   /// RunReport. Supported by every backend (normalized trace).
@@ -92,8 +83,6 @@ struct EngineOptions {
     o.tolerance = tolerance;
     o.recordPerGate = recordPerGate;
     o.forceConversionAtGate = forceConversionAtGate;
-    o.usePlanCache = usePlanCache;
-    o.fuseDiagonalRuns = fuseDiagonalRuns;
     // The fusion stage is declared as a pipeline pass; the last fusion-*
     // entry wins (they configure the same conversion-point stage).
     o.fusion = flat::FusionMode::None;

@@ -248,7 +248,6 @@ std::string RunReport::toJson() const {
   w.field("dmavPhase", dmavPhaseSeconds);
   w.field("conversion", conversionSeconds);
   w.field("fusion", fusionSeconds);
-  w.field("planCompile", planCompileSeconds);
   w.field("dmavReplay", dmavReplaySeconds);
   w.endObject();
 
@@ -259,12 +258,6 @@ std::string RunReport::toJson() const {
   w.field("dmavGates", dmavGates);
   w.field("cachedGates", cachedGates);
   w.field("cacheHits", cacheHits);
-  w.field("planCacheHits", planCacheHits);
-  w.field("planCacheMisses", planCacheMisses);
-  w.field("planCompiles", planCompiles);
-  w.field("diagRuns", diagRuns);
-  w.field("diagRunGates", diagRunGates);
-  w.field("denseBlockGates", denseBlockGates);
   w.field("peakDDSize", peakDDSize);
   w.field("dmavModelCost", dmavModelCost);
   w.field("reorderSeconds", reorderSeconds);
@@ -356,7 +349,6 @@ RunReport RunReport::fromJson(std::string_view text) {
       get(*t, "dmavPhase", r.dmavPhaseSeconds);
       get(*t, "conversion", r.conversionSeconds);
       get(*t, "fusion", r.fusionSeconds);
-      get(*t, "planCompile", r.planCompileSeconds);
       get(*t, "dmavReplay", r.dmavReplaySeconds);
     }
   }
@@ -368,12 +360,6 @@ RunReport RunReport::fromJson(std::string_view text) {
       get(*c, "dmavGates", r.dmavGates);
       get(*c, "cachedGates", r.cachedGates);
       get(*c, "cacheHits", r.cacheHits);
-      get(*c, "planCacheHits", r.planCacheHits);
-      get(*c, "planCacheMisses", r.planCacheMisses);
-      get(*c, "planCompiles", r.planCompiles);
-      get(*c, "diagRuns", r.diagRuns);
-      get(*c, "diagRunGates", r.diagRunGates);
-      get(*c, "denseBlockGates", r.denseBlockGates);
       get(*c, "peakDDSize", r.peakDDSize);
       get(*c, "dmavModelCost", r.dmavModelCost);
       get(*c, "reorderSeconds", r.reorderSeconds);
@@ -471,7 +457,6 @@ std::string RunReport::toCsv() const {
   row("dmav_phase_seconds", numberToString(dmavPhaseSeconds));
   row("conversion_seconds", numberToString(conversionSeconds));
   row("fusion_seconds", numberToString(fusionSeconds));
-  row("plan_compile_ms", numberToString(planCompileSeconds * 1e3));
   row("dmav_replay_ms", numberToString(dmavReplaySeconds * 1e3));
   row("converted", converted ? "1" : "0");
   row("conversion_gate_index", std::to_string(conversionGateIndex));
@@ -479,11 +464,6 @@ std::string RunReport::toCsv() const {
   row("dmav_gates", std::to_string(dmavGates));
   row("cached_gates", std::to_string(cachedGates));
   row("cache_hits", std::to_string(cacheHits));
-  row("plan_cache_hits", std::to_string(planCacheHits));
-  row("plan_cache_misses", std::to_string(planCacheMisses));
-  row("diag_runs", std::to_string(diagRuns));
-  row("diag_run_gates", std::to_string(diagRunGates));
-  row("dense_block_gates", std::to_string(denseBlockGates));
   row("peak_dd_size", std::to_string(peakDDSize));
   row("dmav_model_cost", numberToString(dmavModelCost));
   row("reorder_seconds", numberToString(reorderSeconds));

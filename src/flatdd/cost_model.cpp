@@ -8,8 +8,6 @@
 #include <unordered_set>
 
 #include "flatdd/dmav_cache.hpp"
-#include "flatdd/dmav_plan.hpp"
-#include "simd/calibration.hpp"
 
 namespace fdd::flat {
 
@@ -94,20 +92,6 @@ bool cachingBeneficial(const dd::mEdge& m, Qubit nQubits, unsigned threads,
   const fp c1 = costNoCache(m, clampDmavThreads(nQubits, threads));
   const fp c2 = costWithCache(m, nQubits, threads, simdWidth);
   return c2 < c1;
-}
-
-fp dmavCostTierAware(const dd::mEdge& m, Qubit nQubits, unsigned threads) {
-  fp c = dmavCost(m, nQubits, threads,
-                  simd::calibratedLanes(simd::KernelClass::Mac));
-  if (const auto dense = denseBlockProbe(m, nQubits)) {
-    const fp dim = static_cast<fp>(Index{1} << nQubits);
-    const fp t = static_cast<fp>(clampDmavThreads(nQubits, threads));
-    const fp densePass =
-        dim * static_cast<fp>(1u << dense->k) /
-        (simd::calibratedLanes(simd::KernelClass::Dense) * t);
-    c = std::min(c, densePass);
-  }
-  return c;
 }
 
 fp ddPhaseSpeedup(unsigned threads, unsigned coreCap) {

@@ -39,16 +39,6 @@ namespace fdd::flat {
 [[nodiscard]] bool cachingBeneficial(const dd::mEdge& m, Qubit nQubits,
                                      unsigned threads, fp simdWidth);
 
-/// dmavCost evaluated with the *measured* effective width of the active
-/// dispatch tier (simd::calibratedLanes, refreshed from bench/kernels)
-/// instead of the nominal lane count, and clipped by the single-pass
-/// DenseBlock cost when the gate qualifies for that lowering: dim * 2^k
-/// MACs in one sweep at Dense-class throughput. Fusion (Alg. 3) charges
-/// candidates with this so fusing toward a 2-3 qubit dense product is
-/// recognized as profitable on any tier.
-[[nodiscard]] fp dmavCostTierAware(const dd::mEdge& m, Qubit nQubits,
-                                   unsigned threads);
-
 /// Factor the EWMA monitor multiplies its epsilon by: sqrt(min(threads,
 /// coreCap)), or 1 at one thread. The DD phase is sequential at every
 /// thread count, so the factor models no measured speedup. It stays because

@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "common/bits.hpp"
-#include "flatdd/dmav_plan.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "simd/kernels.hpp"
 
@@ -96,9 +96,10 @@ void runTask(const dd::mEdge& mr, const Complex* v, Complex* w, Qubit level,
   runTask(mr.n->e[3], v, w, level - 1, iv + step, iw + step, fw);
 }
 
-void dmavRecursive(const dd::mEdge& m, Qubit nQubits,
-                   std::span<const Complex> v, std::span<Complex> w,
-                   unsigned threads) {
+void dmav(const dd::mEdge& m, Qubit nQubits, std::span<const Complex> v,
+          std::span<Complex> w, unsigned threads) {
+  FDD_TIMED_SCOPE("dmav");
+  obs::PoolPhaseScope poolPhase{"dmav"};
   const Index dim = Index{1} << nQubits;
   if (v.size() != dim || w.size() != dim) {
     throw std::invalid_argument("dmav: vector size mismatch");
@@ -117,13 +118,6 @@ void dmavRecursive(const dd::mEdge& m, Qubit nQubits,
               static_cast<Index>(i) * a.h, task.f);
     }
   });
-}
-
-void dmav(const dd::mEdge& m, Qubit nQubits, std::span<const Complex> v,
-          std::span<Complex> w, unsigned threads) {
-  const DmavPlan plan =
-      compileDmavPlan(m, nQubits, threads, PlanMode::Row);
-  replayPlan(plan, v, w);
 }
 
 }  // namespace fdd::flat

@@ -56,18 +56,10 @@ void setIdentFastPath(bool enabled) noexcept;
 void runTask(const dd::mEdge& mr, const Complex* v, Complex* w, Qubit level,
              Index iv, Index iw, Complex f);
 
-/// DMAV without caching: W = M * V on `threads` workers. W is overwritten.
-/// V and W must both have size 2^nQubits and must not alias. Executes by
-/// compiling a throwaway row-mode DmavPlan and replaying it (see
-/// dmav_plan.hpp); callers that apply the same gate repeatedly should cache
-/// the plan (PlanCache) and call replayPlan directly.
+/// DMAV without caching (Algorithm 1: Assign, then a recursive Run per
+/// task): W = M * V on `threads` workers. W is overwritten. V and W must
+/// both have size 2^nQubits and must not alias.
 void dmav(const dd::mEdge& m, Qubit nQubits, std::span<const Complex> v,
           std::span<Complex> w, unsigned threads);
-
-/// The pre-plan execution path (Alg. 1 verbatim: Assign + recursive Run per
-/// application). Kept as the baseline for benchmarks and differential tests.
-void dmavRecursive(const dd::mEdge& m, Qubit nQubits,
-                   std::span<const Complex> v, std::span<Complex> w,
-                   unsigned threads);
 
 }  // namespace fdd::flat

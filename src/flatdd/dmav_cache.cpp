@@ -5,7 +5,7 @@
 #include <unordered_map>
 
 #include "common/bits.hpp"
-#include "flatdd/dmav_plan.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "simd/kernels.hpp"
 
@@ -115,10 +115,11 @@ std::size_t DmavWorkspace::memoryBytes() const noexcept {
   return bytes;
 }
 
-DmavCacheStats dmavCachedRecursive(const dd::mEdge& m, Qubit nQubits,
-                                   std::span<const Complex> v,
-                                   std::span<Complex> w, unsigned threads,
-                                   DmavWorkspace& workspace) {
+DmavCacheStats dmavCached(const dd::mEdge& m, Qubit nQubits,
+                          std::span<const Complex> v, std::span<Complex> w,
+                          unsigned threads, DmavWorkspace& workspace) {
+  FDD_TIMED_SCOPE("dmav.cached");
+  obs::PoolPhaseScope poolPhase{"dmav.cached"};
   const Index dim = Index{1} << nQubits;
   if (v.size() != dim || w.size() != dim) {
     throw std::invalid_argument("dmavCached: vector size mismatch");
@@ -217,14 +218,6 @@ DmavCacheStats dmavCachedRecursive(const dd::mEdge& m, Qubit nQubits,
     }
   });
   return stats;
-}
-
-DmavCacheStats dmavCached(const dd::mEdge& m, Qubit nQubits,
-                          std::span<const Complex> v, std::span<Complex> w,
-                          unsigned threads, DmavWorkspace& workspace) {
-  const DmavPlan plan =
-      compileDmavPlan(m, nQubits, threads, PlanMode::Cached);
-  return replayPlanCached(plan, v, w, workspace);
 }
 
 }  // namespace fdd::flat

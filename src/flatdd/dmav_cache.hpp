@@ -48,21 +48,12 @@ class DmavWorkspace {
   std::vector<AlignedVector<Complex>> buffers_;
 };
 
-/// DMAV with caching: W = M * V. V and W must have size 2^nQubits and must
-/// not alias. Pass a persistent workspace to amortize buffer allocation.
-/// Executes by compiling a throwaway cached-mode DmavPlan and replaying it
-/// (see dmav_plan.hpp); callers that apply the same gate repeatedly should
-/// cache the plan (PlanCache) and call replayPlanCached directly.
+/// DMAV with caching (Algorithm 2: AssignCache, then a recursive Run with a
+/// per-thread sub-product cache, then the buffer reduction): W = M * V.
+/// V and W must have size 2^nQubits and must not alias. Pass a persistent
+/// workspace to amortize buffer allocation.
 DmavCacheStats dmavCached(const dd::mEdge& m, Qubit nQubits,
                           std::span<const Complex> v, std::span<Complex> w,
                           unsigned threads, DmavWorkspace& workspace);
-
-/// The pre-plan execution path (Alg. 2 verbatim: AssignCache + recursive Run
-/// with a runtime sub-product cache per application). Kept as the baseline
-/// for benchmarks and differential tests.
-DmavCacheStats dmavCachedRecursive(const dd::mEdge& m, Qubit nQubits,
-                                   std::span<const Complex> v,
-                                   std::span<Complex> w, unsigned threads,
-                                   DmavWorkspace& workspace);
 
 }  // namespace fdd::flat

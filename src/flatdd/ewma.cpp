@@ -26,6 +26,9 @@ bool EwmaMonitor::observe(std::size_t ddSize) {
   const bool eligible = count_ > warmup_ && ddSize >= minSize_;
   const bool triggered = eligible && epsilon_ * corrected_ < s;
   if (log_ != nullptr && obs::enabled()) {
+    if (log_->size() >= kEwmaLogCapacity) {
+      log_->erase(log_->begin());
+    }
     log_->push_back(EwmaDecision{count_ - 1, ddSize, corrected_,
                                  epsilon_ * corrected_, triggered});
   }

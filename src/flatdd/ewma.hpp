@@ -11,6 +11,12 @@
 
 namespace fdd::flat {
 
+/// Ticks an attached log keeps. A service session can run in the DD phase
+/// for its whole life with obs on, and every report copies the log, so an
+/// unbounded log would grow with every gate; only the newest ticks are kept.
+/// The tick that triggers conversion is the last one, so it always stays.
+inline constexpr std::size_t kEwmaLogCapacity = 1024;
+
 /// One monitor tick: everything needed to audit the conversion decision
 /// after the run (surfaced as RunReport.ewmaLog and as trace instants).
 struct EwmaDecision {
@@ -42,10 +48,10 @@ class EwmaMonitor {
   [[nodiscard]] fp beta() const noexcept { return beta_; }
   [[nodiscard]] fp epsilon() const noexcept { return epsilon_; }
 
-  /// Appends one EwmaDecision per observe() to `log` (nullptr detaches).
-  /// Recording is further gated on obs::enabled(), so an attached log is
-  /// free while observability is off. The pointee must outlive the monitor
-  /// or the next attachLog call.
+  /// Appends one EwmaDecision per observe() to `log` (nullptr detaches),
+  /// dropping the oldest beyond kEwmaLogCapacity. Recording is further gated
+  /// on obs::enabled(), so an attached log is free while observability is
+  /// off. The pointee must outlive the monitor or the next attachLog call.
   void attachLog(std::vector<EwmaDecision>* log) noexcept { log_ = log; }
 
   void reset() noexcept;

@@ -27,15 +27,13 @@ FlatDDSimulator::FlatDDSimulator(Qubit nQubits, FlatDDOptions options)
       ewma_{options.beta,
             options.epsilon * ddPhaseSpeedup(options.threads) /
                 simd::arrayPhaseSpeedup(),
-            options.warmupGates, options.minDDSize},
-      planCache_{ddSim_.package()} {
+            options.warmupGates, options.minDDSize} {
   // stats_ is a member, so the log vector's address is stable across reset()
   // (which assigns a fresh FlatDDStats into the same object).
   ewma_.attachLog(&stats_.ewmaLog);
 }
 
 void FlatDDSimulator::reset() {
-  planCache_.clear();
   ddSim_.reset();
   ewma_.reset();
   flatPhase_ = false;
@@ -96,14 +94,9 @@ void FlatDDSimulator::applyOperation(const qc::Operation& op) {
   applyDmav(gate);
   pkg.decRef(gate);
   pkg.garbageCollect();
-  ++stats_.dmavGates;
   const double seconds = gateClock.seconds();
   stats_.dmavPhaseSeconds += seconds;
-  if (options_.recordPerGate) {
-    stats_.perGate.push_back(
-        PerGateRecord{stats_.ddGates + stats_.dmavGates - 1, false, seconds,
-                      0});
-  }
+  recordDmav(1, seconds);
 }
 
 void FlatDDSimulator::simulate(const qc::Circuit& circuit) {
@@ -134,61 +127,38 @@ void FlatDDSimulator::simulate(const qc::Circuit& circuit) {
     pkg.incRef(m);
     gates.push_back(m);
   }
+  FusionStats fusion;
   if (options_.fusion == FusionMode::DmavAware) {
-    gates = dmavAwareFusion(pkg, gates, options_.threads);
+    gates = dmavAwareFusion(pkg, gates, options_.threads, &fusion);
   } else if (options_.fusion == FusionMode::KOperations) {
     gates = kOperationsFusion(pkg, gates, options_.kOperations,
-                              options_.threads);
+                              options_.threads, &fusion);
+  } else {
+    fusion.gatesPerOutput.assign(gates.size(), 1);
   }
   stats_.fusionSeconds += fusionClock.seconds();
 
   // ---- Phase 2: DMAV --------------------------------------------------------
   Stopwatch dmavPhase;
-  const bool fuseRuns = options_.fuseDiagonalRuns && options_.usePlanCache;
-  for (std::size_t g = 0; g < gates.size();) {
-    // Diagonal-run detection: extend over consecutive diagonal gate DDs and
-    // collapse runs of >= 2 into one fused DiagRun sweep.
-    std::size_t runEnd = g;
-    if (fuseRuns) {
-      while (runEnd < gates.size() && runEnd - g < kMaxDiagRunGates &&
-             isDiagonalGateDD(gates[runEnd])) {
-        ++runEnd;
-      }
-    }
-    if (runEnd - g >= 2) {
-      const std::size_t runLen = runEnd - g;
-      Stopwatch runClock;
-      applyDmavDiagRun(std::span<const dd::mEdge>{gates.data() + g, runLen});
-      for (std::size_t r = g; r < runEnd; ++r) {
-        pkg.decRef(gates[r]);
-      }
-      ++stats_.diagRuns;
-      stats_.diagRunGates += runLen;
-      stats_.dmavGates += runLen;
-      if (options_.recordPerGate) {
-        const double each = runClock.seconds() / static_cast<double>(runLen);
-        for (std::size_t r = 0; r < runLen; ++r) {
-          stats_.perGate.push_back(PerGateRecord{
-              stats_.conversionGateIndex + stats_.dmavGates - runLen + r,
-              false, each, 0});
-        }
-      }
-      g = runEnd;
-      continue;
-    }
+  for (std::size_t g = 0; g < gates.size(); ++g) {
     Stopwatch gateClock;
     applyDmav(gates[g]);
     pkg.decRef(gates[g]);
-    ++stats_.dmavGates;
-    if (options_.recordPerGate) {
-      stats_.perGate.push_back(
-          PerGateRecord{stats_.conversionGateIndex + stats_.dmavGates - 1,
-                        false, gateClock.seconds(), 0});
-    }
-    ++g;
+    recordDmav(fusion.gatesPerOutput[g], gateClock.seconds());
   }
   pkg.garbageCollect(true);
   stats_.dmavPhaseSeconds += dmavPhase.seconds();
+}
+
+void FlatDDSimulator::recordDmav(std::size_t gates, double seconds) {
+  if (options_.recordPerGate) {
+    const std::size_t first = stats_.ddGates + stats_.dmavGates;
+    for (std::size_t r = 0; r < gates; ++r) {
+      stats_.perGate.push_back(PerGateRecord{
+          first + r, false, seconds / static_cast<double>(gates), 0});
+    }
+  }
+  stats_.dmavGates += gates;
 }
 
 void FlatDDSimulator::convertToFlat(std::size_t gateIndex) {
@@ -208,76 +178,25 @@ void FlatDDSimulator::convertToFlat(std::size_t gateIndex) {
   stats_.conversionSeconds = clock.seconds();
 }
 
-void FlatDDSimulator::applyDmavDiagRun(std::span<const dd::mEdge> run) {
-  const Index dim = Index{1} << nQubits_;
-  const unsigned threads =
-      dim < options_.parallelThresholdDim ? 1 : options_.threads;
-  bool wasHit = false;
-  const DmavPlan& plan = planCache_.getRun(run, nQubits_, threads, &wasHit);
-  if (wasHit) {
-    ++stats_.planCacheHits;
-  } else {
-    ++stats_.planCacheMisses;
-    ++stats_.planCompiles;
-    stats_.planCompileSeconds += plan.compileSeconds;
-  }
-  // One sweep regardless of the run length: charge a single pass of 2^n
-  // MACs (the pointwise product) split across the replay threads.
-  stats_.dmavModelCost +=
-      static_cast<fp>(dim) / static_cast<fp>(plan.threads);
-  Stopwatch replayClock;
-  replayPlan(plan, v_, w_);
-  stats_.dmavReplaySeconds += replayClock.seconds();
-  std::swap(v_, w_);
-}
-
 void FlatDDSimulator::applyDmav(const dd::mEdge& gate) {
   const Index dim = Index{1} << nQubits_;
   const unsigned threads =
       dim < options_.parallelThresholdDim ? 1 : options_.threads;
-  // A gate that qualifies for the single-pass DenseBlock lowering always
-  // beats the cached (buffer-reduce) variant: skip Eq. 5/6 and force row
-  // mode, where compileDmavPlan picks the dense shape. forceCaching is an
-  // ablation flag and keeps overriding this.
-  const bool dense = options_.usePlanCache && !options_.forceCaching &&
-                     denseBlockProbe(gate, nQubits_).has_value();
   bool useCache = options_.forceCaching;
-  if (!useCache && !dense && options_.useCostModel) {
+  if (!useCache && options_.useCostModel) {
     useCache = cachingBeneficial(gate, nQubits_, threads, simd::lanes());
   }
   stats_.dmavModelCost += dmavCost(gate, nQubits_, threads, simd::lanes());
-  if (options_.usePlanCache) {
-    const PlanMode mode = useCache ? PlanMode::Cached : PlanMode::Row;
-    bool wasHit = false;
-    const DmavPlan& plan =
-        planCache_.get(gate, nQubits_, threads, mode, &wasHit);
-    if (wasHit) {
-      ++stats_.planCacheHits;
-    } else {
-      ++stats_.planCacheMisses;
-      ++stats_.planCompiles;
-      stats_.planCompileSeconds += plan.compileSeconds;
-    }
-    if (plan.denseK != 0) {
-      ++stats_.denseBlockGates;
-    }
-    Stopwatch replayClock;
-    if (useCache) {
-      const DmavCacheStats s = replayPlanCached(plan, v_, w_, workspace_);
-      ++stats_.cachedGates;
-      stats_.cacheHits += s.cacheHits;
-    } else {
-      replayPlan(plan, v_, w_);
-    }
-    stats_.dmavReplaySeconds += replayClock.seconds();
-  } else if (useCache) {
+  Stopwatch kernelClock;
+  if (useCache) {
     const DmavCacheStats s =
-        dmavCachedRecursive(gate, nQubits_, v_, w_, threads, workspace_);
+        dmavCached(gate, nQubits_, v_, w_, threads, workspace_);
     ++stats_.cachedGates;
     stats_.cacheHits += s.cacheHits;
   } else {
-    dmavRecursive(gate, nQubits_, v_, w_, threads);
+    dmav(gate, nQubits_, v_, w_, threads);
   }
+  stats_.dmavReplaySeconds += kernelClock.seconds();
   std::swap(v_, w_);
 }
 
@@ -337,7 +256,6 @@ std::size_t FlatDDSimulator::memoryBytes() const {
   std::size_t bytes = ddSim_.package().stats().memoryBytes;
   bytes += (v_.size() + w_.size()) * sizeof(Complex);
   bytes += workspace_.memoryBytes();
-  bytes += planCache_.memoryBytes();
   return bytes;
 }
 

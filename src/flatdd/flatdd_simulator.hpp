@@ -15,7 +15,6 @@
 #include "common/timing.hpp"
 #include "flatdd/dmav_cache.hpp"
 #include "flatdd/ewma.hpp"
-#include "flatdd/plan_cache.hpp"
 #include "qc/circuit.hpp"
 #include "sim/dd_simulator.hpp"
 
@@ -47,16 +46,6 @@ struct FlatDDOptions {
   /// Override the EWMA: convert once this many gates (counted across
   /// applyOperation() and simulate() calls since reset()) ran in DD.
   std::optional<std::size_t> forceConversionAtGate{};
-  /// Execute DMAV through compiled plans from the simulator's bounded LRU
-  /// cache (see dmav_plan.hpp / plan_cache.hpp). Off = the pre-plan
-  /// recursive path (Alg. 1/2 verbatim), kept for ablation benchmarks.
-  bool usePlanCache = true;
-  /// Collapse runs of consecutive diagonal gates (RZ/CP/CZ/S/T layers) in
-  /// the DMAV phase into one fused DiagRun plan: k gates become a single
-  /// pointwise-product sweep over the state (see compileDiagRunPlan).
-  /// Requires usePlanCache; simulate() only — the streaming applyOperation()
-  /// path has no lookahead and applies gates one at a time.
-  bool fuseDiagonalRuns = true;
 };
 
 struct PerGateRecord {
@@ -74,22 +63,18 @@ struct FlatDDStats {
   double dmavPhaseSeconds = 0;
   double fusionSeconds = 0;
   std::size_t ddGates = 0;
-  std::size_t dmavGates = 0;    // matrices applied after (optional) fusion
+  /// Circuit gates applied in the DMAV phase, counting each gate a fused
+  /// matrix covers, so ddGates + dmavGates is the gate count.
+  std::size_t dmavGates = 0;
   std::size_t cachedGates = 0;  // DMAVs that ran with the cache
   std::size_t cacheHits = 0;
-  std::size_t planCacheHits = 0;    // plan reused from the LRU cache
-  std::size_t planCacheMisses = 0;
-  std::size_t planCompiles = 0;
-  std::size_t diagRuns = 0;       // fused diagonal runs executed
-  std::size_t diagRunGates = 0;   // gates collapsed into those runs
-  std::size_t denseBlockGates = 0;  // DMAVs executed via the DenseBlock path
-  double planCompileSeconds = 0;    // time spent lowering DDs to plans
-  double dmavReplaySeconds = 0;     // time spent replaying compiled plans
+  double dmavReplaySeconds = 0;  // time inside the dmav / dmavCached kernels
   std::size_t peakDDSize = 0;
   fp dmavModelCost = 0;  // sum of Section 3.2.3 costs over applied matrices
                          // (the "Cost" column of Table 2)
   std::vector<PerGateRecord> perGate;
-  /// One entry per EWMA monitor tick, recorded only while obs::enabled().
+  /// The newest EWMA monitor ticks (at most kEwmaLogCapacity), recorded only
+  /// while obs::enabled(). The conversion tick is always the last one.
   std::vector<EwmaDecision> ewmaLog;
 
   /// The per-gate trace as CSV ("gate,phase,seconds,dd_size") for external
@@ -158,7 +143,9 @@ class FlatDDSimulator {
   void convertAtPassedForcedPoint();
   void convertToFlat(std::size_t gateIndex);
   void applyDmav(const dd::mEdge& gate);
-  void applyDmavDiagRun(std::span<const dd::mEdge> run);
+  /// Records one flat-phase matrix that covered `gates` circuit gates in
+  /// `seconds`: counts them and, with recordPerGate, splits the time evenly.
+  void recordDmav(std::size_t gates, double seconds);
 
   Qubit nQubits_;
   FlatDDOptions options_;
@@ -169,9 +156,6 @@ class FlatDDSimulator {
   AlignedVector<Complex> v_;  // current state (flat phase)
   AlignedVector<Complex> w_;  // scratch output vector
   DmavWorkspace workspace_;
-  // Declared after ddSim_ so it is destroyed (unpinning cached gate roots)
-  // before the DD package it references.
-  PlanCache planCache_;
 
   FlatDDStats stats_;
 };

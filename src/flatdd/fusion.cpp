@@ -1,9 +1,11 @@
 #include "flatdd/fusion.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "flatdd/cost_model.hpp"
 #include "obs/metrics.hpp"
+#include "simd/calibration.hpp"
 
 namespace fdd::flat {
 
@@ -11,14 +13,11 @@ namespace {
 
 /// Section 3.2.3 cost of one DMAV: min(C1, C2). Algorithm 3's cost() uses
 /// the full model (the paper's Fig. 9/10 walkthroughs use Eq. 5 "for
-/// simplicity", but the algorithm itself charges min{C1, C2}), evaluated
-/// tier-aware: the SIMD width is the measured effective width of the active
-/// dispatch tier, and products that qualify for the single-pass DenseBlock
-/// lowering are charged its (much lower) sweep cost — so fusion keeps
-/// widening toward 2-3 qubit dense gates exactly when the kernels that will
-/// execute them make that a win.
+/// simplicity", but the algorithm itself charges min{C1, C2}), with the
+/// measured effective SIMD width of the active dispatch tier as `d`.
 fp gateCost(const dd::mEdge& g, Qubit nQubits, unsigned threads) {
-  return dmavCostTierAware(g, nQubits, threads);
+  return dmavCost(g, nQubits, threads,
+                  simd::calibratedLanes(simd::KernelClass::Mac));
 }
 
 fp sumCost(const std::vector<dd::mEdge>& gates, Qubit nQubits,
@@ -48,6 +47,7 @@ std::vector<dd::mEdge> dmavAwareFusion(dd::Package& pkg,
   dd::mEdge mp = pkg.makeIdent(pkg.numQubits() - 1);
   pkg.incRef(mp);
   fp cp = 0;
+  std::size_t np = 0;  // input gates fused into mp
 
   for (const dd::mEdge& mi : gates) {
     const fp ci = gateCost(mi, pkg.numQubits(), t);
@@ -59,23 +59,27 @@ std::vector<dd::mEdge> dmavAwareFusion(dd::Package& pkg,
       // transfers to the output list) and let the caller's reference on mi
       // become the new pending reference.
       out.push_back(mp);
+      local.gatesPerOutput.push_back(np);
       mp = mi;
       cp = ci;
+      np = 1;
     } else {
       pkg.incRef(mip);
       pkg.decRef(mp);
       pkg.decRef(mi);  // consume the caller's reference
       mp = mip;
       cp = cip;
+      ++np;
     }
     pkg.garbageCollect();
   }
   out.push_back(mp);  // flush the final pending matrix (paper omission)
+  local.gatesPerOutput.push_back(np);
 
   local.outputGates = out.size();
   local.outputCost = sumCost(out, pkg.numQubits(), t);
   if (stats != nullptr) {
-    *stats = local;
+    *stats = std::move(local);
   }
   return out;
 }
@@ -109,6 +113,7 @@ std::vector<dd::mEdge> kOperationsFusion(dd::Package& pkg,
       ++used;
     }
     out.push_back(fused);
+    local.gatesPerOutput.push_back(used);
     i += used;
     pkg.garbageCollect();
   }
@@ -116,7 +121,7 @@ std::vector<dd::mEdge> kOperationsFusion(dd::Package& pkg,
   local.outputGates = out.size();
   local.outputCost = sumCost(out, pkg.numQubits(), std::max(threads, 1u));
   if (stats != nullptr) {
-    *stats = local;
+    *stats = std::move(local);
   }
   return out;
 }

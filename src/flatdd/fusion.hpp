@@ -21,6 +21,9 @@ struct FusionStats {
   std::size_t ddmmCalls = 0;
   fp inputCost = 0;   // sum of Eq. 5 costs before fusion
   fp outputCost = 0;  // sum of Eq. 5 costs after fusion
+  /// Input gates each output matrix covers, in output order; sums to
+  /// inputGates (Alg. 3's initial identity counts for none).
+  std::vector<std::size_t> gatesPerOutput;
 };
 
 /// Algorithm 3: greedily fuses consecutive gates whenever the fused matrix

@@ -189,9 +189,9 @@ class PoolPhaseStats {
   std::atomic<unsigned> maxWorkers_{0};
 };
 
-/// Phase label for pool regions launched by the calling thread ("dmav.
-/// replay", "conversion", ...). Scoped; restores the previous label (default
-/// "pool") on destruction. The pointer must be a literal or interned.
+/// Phase label for pool regions launched by the calling thread ("dmav",
+/// "conversion", ...). Scoped; restores the previous label (default "pool")
+/// on destruction. The pointer must be a literal or interned.
 class PoolPhaseScope {
  public:
   explicit PoolPhaseScope(const char* phase) noexcept;

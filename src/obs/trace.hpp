@@ -223,7 +223,7 @@ class TraceScope {
 #define FDD_OBS_CONCAT(a, b) FDD_OBS_CONCAT_(a, b)
 
 #if FDD_OBS_ENABLED
-/// Scoped trace span: FDD_TRACE_SCOPE("dmav.replay"); records a Span event
+/// Scoped trace span: FDD_TRACE_SCOPE("dmav"); records a Span event
 /// covering the enclosing scope when tracing is enabled.
 #define FDD_TRACE_SCOPE(name) \
   ::fdd::obs::TraceScope FDD_OBS_CONCAT(fddTraceScope_, __LINE__) { name }

@@ -251,7 +251,7 @@ void JobQueue::workerLoop(unsigned worker) {
         job->state_ = JobState::Running;
       }
       // Request-context scope: every span the body records (service.job,
-      // session_apply, dd.apply, dmav.replay, ...) carries this job's
+      // session_apply, dd.apply, dmav, ...) carries this job's
       // request id. The queue-wait span covers submit→start and is
       // attributed to the same request.
       obs::RequestIdScope requestScope{job->requestId_};

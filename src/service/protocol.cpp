@@ -321,7 +321,7 @@ std::string Service::handleLine(std::string_view line) {
 
 void Service::logRequest(const char* op, std::uint64_t requestId,
                          std::uint64_t sessionId, const Job& job,
-                         std::uint64_t gates, std::size_t planCacheHits) {
+                         std::uint64_t gates) {
   SlowRequestLog& log = manager_.slowLog();
   if (!log.enabled()) {
     return;
@@ -334,7 +334,6 @@ void Service::logRequest(const char* op, std::uint64_t requestId,
   entry.executeMs = job.executeSeconds() * 1e3;
   entry.totalMs = job.latencySeconds() * 1e3;
   entry.gatesApplied = gates;
-  entry.planCacheHits = planCacheHits;
   entry.simdTier = simd::toString(simd::activeTier());
   entry.state = toString(job.state());
   log.record(entry);
@@ -511,8 +510,7 @@ std::string Service::dispatch(std::string_view line,
       if (firstObservation) {
         logRequest("apply_async", async.handle->requestId(),
                    async.session->id(), *async.handle,
-                   async.session->gatesApplied(),
-                   async.result->planCacheHits);
+                   async.session->gatesApplied());
       }
     }
     json::Writer w;
@@ -555,20 +553,11 @@ std::string Service::dispatch(std::string_view line,
   if (op == "apply") {
     qc::Circuit chunk = circuitFromRequest(obj, session->numQubits());
     auto result = std::make_shared<ApplyResult>();
-    // Sessions are not synchronized, so the job body itself reads the
-    // session's plan-cache hits around the apply, and only when the slow
-    // log will record the difference.
-    const bool countHits = manager_.slowLog().enabled();
     const JobHandle handle = manager_.submit(
         session,
-        [chunk = std::move(chunk), result, countHits](
-            Session& s, const par::CancelToken& token) {
-          const std::size_t before =
-              countHits ? s.report().planCacheHits : 0;
+        [chunk = std::move(chunk), result](Session& s,
+                                           const par::CancelToken& token) {
           result->applied = s.apply(chunk, token);
-          if (countHits) {
-            result->planCacheHits = s.report().planCacheHits - before;
-          }
         },
         jobOptions(obj, requestId, "apply"));
     const json::Value* async = findField(obj, "async");
@@ -589,7 +578,7 @@ std::string Service::dispatch(std::string_view line,
     }
     handle->wait();
     logRequest("apply", requestId, sessionId, *handle,
-               session->gatesApplied(), result->planCacheHits);
+               session->gatesApplied());
     if (handle->state() != JobState::Done) {
       return jobFailureResponse(*handle);
     }
@@ -618,7 +607,7 @@ std::string Service::dispatch(std::string_view line,
         jobOptions(obj, requestId, "sample"));
     handle->wait();
     logRequest("sample", requestId, sessionId, *handle,
-               session->gatesApplied(), 0);
+               session->gatesApplied());
     if (handle->state() != JobState::Done) {
       return jobFailureResponse(*handle);
     }
@@ -663,7 +652,7 @@ std::string Service::dispatch(std::string_view line,
         jobOptions(obj, requestId, "amplitude"));
     handle->wait();
     logRequest("amplitude", requestId, sessionId, *handle,
-               session->gatesApplied(), 0);
+               session->gatesApplied());
     if (handle->state() != JobState::Done) {
       return jobFailureResponse(*handle);
     }

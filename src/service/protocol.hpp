@@ -85,7 +85,6 @@ class Service {
   /// Written by an apply job's body, read once the job is terminal.
   struct ApplyResult {
     std::size_t applied = 0;
-    std::size_t planCacheHits = 0;  // this request's own (slow log only)
   };
   struct AsyncJob {
     JobHandle handle;
@@ -100,11 +99,9 @@ class Service {
   /// dispatch throws after assigning it.
   std::string dispatch(std::string_view line, std::uint64_t& requestId);
   /// Records a completed synchronous job in the slow-request log.
-  /// `planCacheHits` counts the DMAV plans this request alone replayed
-  /// from the session's cache.
   void logRequest(const char* op, std::uint64_t requestId,
                   std::uint64_t sessionId, const Job& job,
-                  std::uint64_t gates, std::size_t planCacheHits);
+                  std::uint64_t gates);
   /// Drops terminal async jobs the client stopped polling (grace period
   /// ServiceConfig::asyncJobGraceMs). Called on every dispatch.
   void sweepExpiredJobs();

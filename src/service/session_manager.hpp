@@ -5,8 +5,7 @@
 // submit() with the session id as the queue's orderKey, so one session's
 // jobs run strictly FIFO (sessions need no internal locks) while different
 // sessions' jobs interleave across workers under priority. A session shares
-// nothing mutable with another: its FlatDD backend compiles DMAV plans into
-// its own private cache over its own DD package.
+// nothing mutable with another: its backend owns its own DD package.
 //
 // close() removes the session from the table; jobs already queued for it
 // hold the Session shared_ptr and complete normally, after which the session

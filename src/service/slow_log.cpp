@@ -62,7 +62,6 @@ bool SlowRequestLog::record(const SlowLogEntry& entry) {
   w.field("exec_ms", entry.executeMs);
   w.field("total_ms", entry.totalMs);
   w.field("gates", entry.gatesApplied);
-  w.field("plan_cache_hits", entry.planCacheHits);
   w.field("simd_tier", entry.simdTier);
   w.field("state", entry.state);
   w.endObject();

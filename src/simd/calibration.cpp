@@ -9,12 +9,12 @@ namespace {
 /// kCalibration[tier][class]: measured scalarNs / tierNs at 2^20 amps,
 /// refreshed from the "calibration" section of BENCH_kernels.json
 /// (bench/kernels). Scalar is 1.0 by construction.
-constexpr int kNumClasses = 6;
+constexpr int kNumClasses = 3;
 constexpr fp kCalibration[3][kNumClasses] = {
-    // Mac, Mac2, Butterfly, Diag, Dense, Norm
-    {1.0, 1.0, 1.0, 1.0, 1.0, 1.0},  // Scalar
-    {2.2, 2.0, 3.1, 1.0, 4.1, 1.3},  // Avx2
-    {2.0, 2.0, 2.9, 1.0, 6.5, 1.5},  // Avx512
+    // Mac, Butterfly, Norm
+    {1.0, 1.0, 1.0},  // Scalar
+    {2.2, 3.1, 1.3},  // Avx2
+    {2.0, 2.9, 1.5},  // Avx512
 };
 
 }  // namespace

@@ -23,10 +23,7 @@ namespace fdd::simd {
 /// Kernel families with distinct effective-width behavior.
 enum class KernelClass : std::uint8_t {
   Mac,        // scale / scaleAccumulate / accumulate — Eq. 6's sweep term
-  Mac2,       // two-term fused MAC
   Butterfly,  // strided / adjacent 2x2
-  Diag,       // DiagScale sweeps and DiagRun pointwise products
-  Dense,      // DenseBlock m x m column tiles
   Norm,       // reductions
 };
 

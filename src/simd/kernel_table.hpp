@@ -28,9 +28,6 @@ struct KernelTable {
                           std::size_t n) noexcept;
   /// out[i] += in[i]
   void (*accumulate)(Complex* out, const Complex* in, std::size_t n) noexcept;
-  /// out[i] += a * x[i] + b * y[i]
-  void (*mac2)(Complex* out, const Complex* x, Complex a, const Complex* y,
-               Complex b, std::size_t n) noexcept;
   /// (a[i], b[i]) = (u[0]*a[i] + u[1]*b[i], u[2]*a[i] + u[3]*b[i])
   void (*butterfly)(Complex* a, Complex* b, const Complex* u,
                     std::size_t n) noexcept;
@@ -41,26 +38,8 @@ struct KernelTable {
   void (*scaleStrided)(Complex* out, const Complex* in, Complex s,
                        std::size_t count, std::size_t len,
                        std::size_t stride) noexcept;
-  /// out[k*stride + j] += s * in[k*stride + j]
-  void (*macStrided)(Complex* out, const Complex* in, Complex s,
-                     std::size_t count, std::size_t len,
-                     std::size_t stride) noexcept;
-  /// out[k*stride+j] += a * x[k*stride+j] + b * y[k*stride+j]
-  void (*mac2Strided)(Complex* out, const Complex* x, Complex a,
-                      const Complex* y, Complex b, std::size_t count,
-                      std::size_t len, std::size_t stride) noexcept;
   /// sum of |v[i]|^2
   fp (*normSquared)(const Complex* v, std::size_t n) noexcept;
-  /// out[i] = a[i] * b[i] — full complex pointwise product. The DiagRun op
-  /// applies a precomputed per-index phase table in one sweep with this.
-  void (*mulPointwise)(Complex* out, const Complex* a, const Complex* b,
-                       std::size_t n) noexcept;
-  /// out[j][i] = sum_l u[j*m + l] * in[l][i] for j, l in [0, m), i in
-  /// [0, n) — an m x m dense matrix (row-major u) applied across m parallel
-  /// spans: the generalized butterfly a DenseBlock tile executes. m is 4 or
-  /// 8 (fused 2- or 3-qubit gate); out spans must not overlap in spans.
-  void (*denseColumns)(Complex* const* out, const Complex* const* in,
-                       const Complex* u, unsigned m, std::size_t n) noexcept;
 };
 
 [[nodiscard]] const KernelTable& scalarTable() noexcept;

@@ -221,11 +221,6 @@ void accumulate(Complex* out, const Complex* in, std::size_t n) noexcept {
   active().accumulate(out, in, n);
 }
 
-void mac2(Complex* out, const Complex* x, Complex a, const Complex* y,
-          Complex b, std::size_t n) noexcept {
-  active().mac2(out, x, a, y, b, n);
-}
-
 void butterfly(Complex* a, Complex* b, const Complex* u,
                std::size_t n) noexcept {
   active().butterfly(a, b, u, n);
@@ -242,29 +237,8 @@ void scaleStrided(Complex* out, const Complex* in, Complex s,
   active().scaleStrided(out, in, s, count, len, stride);
 }
 
-void macStrided(Complex* out, const Complex* in, Complex s, std::size_t count,
-                std::size_t len, std::size_t stride) noexcept {
-  active().macStrided(out, in, s, count, len, stride);
-}
-
-void mac2Strided(Complex* out, const Complex* x, Complex a, const Complex* y,
-                 Complex b, std::size_t count, std::size_t len,
-                 std::size_t stride) noexcept {
-  active().mac2Strided(out, x, a, y, b, count, len, stride);
-}
-
 fp normSquared(const Complex* v, std::size_t n) noexcept {
   return active().normSquared(v, n);
-}
-
-void mulPointwise(Complex* out, const Complex* a, const Complex* b,
-                  std::size_t n) noexcept {
-  active().mulPointwise(out, a, b, n);
-}
-
-void denseColumns(Complex* const* out, const Complex* const* in,
-                  const Complex* u, unsigned m, std::size_t n) noexcept {
-  active().denseColumns(out, in, u, m, n);
 }
 
 void zeroFill(Complex* out, std::size_t n) noexcept {

@@ -2,8 +2,8 @@
 // SIMD kernels over contiguous and bit-strided complex arrays. These
 // implement the paper's "SIMD-enabled scalar multiplication" (used by both
 // the parallel DD-to-array conversion, Fig. 4b, and the DMAV cache, Alg. 2
-// line 7), the buffer summation of Alg. 2 lines 11-13, and the fused/strided
-// shapes the DmavPlan replay and ArraySimulator hot loops emit.
+// line 7), the buffer summation of Alg. 2 lines 11-13, and the butterfly and
+// strided shapes of the ArraySimulator hot loops.
 //
 // Dispatch is resolved at runtime: the widest tier the build AND the
 // executing CPU support wins (avx512 > avx2 > scalar). FLATDD_FORCE_SCALAR
@@ -73,11 +73,6 @@ void scaleAccumulate(Complex* out, const Complex* in, Complex s,
 /// out[i] += in[i] for i in [0, n). No overlap.
 void accumulate(Complex* out, const Complex* in, std::size_t n) noexcept;
 
-/// Two-term fused MAC: out[i] += a * x[i] + b * y[i] for i in [0, n).
-/// out may not overlap x or y; x and y may alias each other.
-void mac2(Complex* out, const Complex* x, Complex a, const Complex* y,
-          Complex b, std::size_t n) noexcept;
-
 /// In-place 2x2 butterfly over two parallel spans: for i in [0, n),
 ///   (a[i], b[i]) = (u[0]*a[i] + u[1]*b[i], u[2]*a[i] + u[3]*b[i]).
 /// u is the row-major 2x2 gate matrix. a and b may not overlap.
@@ -97,30 +92,8 @@ void scaleStrided(Complex* out, const Complex* in, Complex s,
                   std::size_t count, std::size_t len,
                   std::size_t stride) noexcept;
 
-/// Strided comb MAC: out[k*stride + j] += s * in[k*stride + j].
-void macStrided(Complex* out, const Complex* in, Complex s, std::size_t count,
-                std::size_t len, std::size_t stride) noexcept;
-
-/// Strided comb two-term MAC:
-/// out[k*stride+j] += a * x[k*stride+j] + b * y[k*stride+j].
-void mac2Strided(Complex* out, const Complex* x, Complex a, const Complex* y,
-                 Complex b, std::size_t count, std::size_t len,
-                 std::size_t stride) noexcept;
-
 /// Sum of |v[i]|^2 — used for normalization checks.
 [[nodiscard]] fp normSquared(const Complex* v, std::size_t n) noexcept;
-
-/// Full complex pointwise product: out[i] = a[i] * b[i]. out may alias a or
-/// b (element i only reads index i). The DiagRun op applies a fused
-/// diagonal-gate-run's phase table with this in one sweep.
-void mulPointwise(Complex* out, const Complex* a, const Complex* b,
-                  std::size_t n) noexcept;
-
-/// Dense m x m matrix (row-major u, m in {4, 8}) across m parallel spans:
-/// out[j][i] = sum_l u[j*m+l] * in[l][i]. Output spans must not overlap the
-/// input spans — the DenseBlock tile writes W from V.
-void denseColumns(Complex* const* out, const Complex* const* in,
-                  const Complex* u, unsigned m, std::size_t n) noexcept;
 
 /// out[i] = 0 for i in [0, n).
 void zeroFill(Complex* out, std::size_t n) noexcept;

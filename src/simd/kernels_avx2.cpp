@@ -98,47 +98,6 @@ void accumulateK(Complex* out, const Complex* in, std::size_t n) noexcept {
   }
 }
 
-void mac2K(Complex* out, const Complex* x, Complex a, const Complex* y,
-           Complex b, std::size_t n) noexcept {
-  const __m256d ar = _mm256_set1_pd(a.real());
-  const __m256d ai = _mm256_set1_pd(a.imag());
-  const __m256d br = _mm256_set1_pd(b.real());
-  const __m256d bi = _mm256_set1_pd(b.imag());
-  auto* o = reinterpret_cast<double*>(out);
-  const auto* px = reinterpret_cast<const double*>(x);
-  const auto* py = reinterpret_cast<const double*>(y);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_prefetch(reinterpret_cast<const char*>(px + 2 * i) + 256,
-                 _MM_HINT_T0);
-    _mm_prefetch(reinterpret_cast<const char*>(py + 2 * i) + 256,
-                 _MM_HINT_T0);
-    __m256d a0 = _mm256_loadu_pd(o + 2 * i);
-    __m256d a1 = _mm256_loadu_pd(o + 2 * i + 4);
-    a0 = _mm256_add_pd(a0,
-                       complexScale(_mm256_loadu_pd(px + 2 * i), ar, ai));
-    a1 = _mm256_add_pd(a1,
-                       complexScale(_mm256_loadu_pd(px + 2 * i + 4), ar, ai));
-    a0 = _mm256_add_pd(a0,
-                       complexScale(_mm256_loadu_pd(py + 2 * i), br, bi));
-    a1 = _mm256_add_pd(a1,
-                       complexScale(_mm256_loadu_pd(py + 2 * i + 4), br, bi));
-    _mm256_storeu_pd(o + 2 * i, a0);
-    _mm256_storeu_pd(o + 2 * i + 4, a1);
-  }
-  for (; i + 2 <= n; i += 2) {
-    __m256d acc = _mm256_loadu_pd(o + 2 * i);
-    acc = _mm256_add_pd(acc,
-                        complexScale(_mm256_loadu_pd(px + 2 * i), ar, ai));
-    acc = _mm256_add_pd(acc,
-                        complexScale(_mm256_loadu_pd(py + 2 * i), br, bi));
-    _mm256_storeu_pd(o + 2 * i, acc);
-  }
-  for (; i < n; ++i) {
-    out[i] += a * x[i] + b * y[i];
-  }
-}
-
 void butterflyK(Complex* a, Complex* b, const Complex* u,
                 std::size_t n) noexcept {
   const __m256d u0r = _mm256_set1_pd(u[0].real());
@@ -205,17 +164,16 @@ void butterflyAdjacentK(Complex* s, const Complex* u,
 }
 
 // Strided combs vectorize the inner span when len >= 2 (one register per two
-// complexes). A len == 1 stride == 2 comb — the shape every low-qubit gate
-// collapses to — is vectorized by blending: load two adjacent complexes,
+// complexes). A len == 1 stride == 2 comb — ArraySimulator's diagonal gate
+// on qubit 0 — is vectorized by blending: load two adjacent complexes,
 // scale both, keep the untouched odd lane's original bits in the store. The
 // blend rewrites odd-lane bytes with the values just loaded, which is safe
 // because those bytes lie inside the comb extent minus one, i.e. inside the
-// same plan block / ArraySimulator chunk and therefore the same thread; the
-// final comb is done scalar so no store reaches the extent boundary. Other
+// same ArraySimulator chunk and therefore the same thread; the final comb
+// is done scalar so no store reaches the extent boundary. Other
 // len == 1 shapes defer to the scalar table — the plain indexed loop
 // auto-vectorizes badly under -mavx2 (gather/scatter), so reusing the
 // scalar TU's codegen is strictly faster.
-template <bool Accumulate>
 void scaleStride2Lane0(Complex* out, const Complex* in, Complex s,
                        std::size_t count) noexcept {
   const __m256d sr = _mm256_set1_pd(s.real());
@@ -224,20 +182,12 @@ void scaleStride2Lane0(Complex* out, const Complex* in, Complex s,
   const auto* p = reinterpret_cast<const double*>(in);
   std::size_t k = 0;
   for (; k + 1 < count; ++k) {  // last comb scalar: keep stores < extent
-    const __m256d v = _mm256_loadu_pd(p + 4 * k);
-    __m256d r = complexScale(v, sr, si);
-    if constexpr (Accumulate) {
-      r = _mm256_add_pd(_mm256_loadu_pd(o + 4 * k), r);
-    }
+    const __m256d r = complexScale(_mm256_loadu_pd(p + 4 * k), sr, si);
     const __m256d keep = _mm256_loadu_pd(o + 4 * k);
     _mm256_storeu_pd(o + 4 * k, _mm256_blend_pd(r, keep, 0b1100));
   }
   for (; k < count; ++k) {
-    if constexpr (Accumulate) {
-      out[2 * k] += s * in[2 * k];
-    } else {
-      out[2 * k] = s * in[2 * k];
-    }
+    out[2 * k] = s * in[2 * k];
   }
 }
 
@@ -246,7 +196,7 @@ void scaleStridedK(Complex* out, const Complex* in, Complex s,
                    std::size_t stride) noexcept {
   if (len == 1) {
     if (stride == 2) {
-      scaleStride2Lane0<false>(out, in, s, count);
+      scaleStride2Lane0(out, in, s, count);
     } else {
       scalarTable().scaleStrided(out, in, s, count, len, stride);
     }
@@ -254,33 +204,6 @@ void scaleStridedK(Complex* out, const Complex* in, Complex s,
   }
   for (std::size_t k = 0; k < count; ++k) {
     scaleK(out + k * stride, in + k * stride, s, len);
-  }
-}
-
-void macStridedK(Complex* out, const Complex* in, Complex s, std::size_t count,
-                 std::size_t len, std::size_t stride) noexcept {
-  if (len == 1) {
-    if (stride == 2) {
-      scaleStride2Lane0<true>(out, in, s, count);
-    } else {
-      scalarTable().macStrided(out, in, s, count, len, stride);
-    }
-    return;
-  }
-  for (std::size_t k = 0; k < count; ++k) {
-    scaleAccumulateK(out + k * stride, in + k * stride, s, len);
-  }
-}
-
-void mac2StridedK(Complex* out, const Complex* x, Complex a, const Complex* y,
-                  Complex b, std::size_t count, std::size_t len,
-                  std::size_t stride) noexcept {
-  if (len == 1) {
-    scalarTable().mac2Strided(out, x, a, y, b, count, len, stride);
-    return;
-  }
-  for (std::size_t k = 0; k < count; ++k) {
-    mac2K(out + k * stride, x + k * stride, a, y + k * stride, b, len);
   }
 }
 
@@ -301,81 +224,15 @@ fp normSquaredK(const Complex* v, std::size_t n) noexcept {
   return sum;
 }
 
-void mulPointwiseK(Complex* out, const Complex* a, const Complex* b,
-                   std::size_t n) noexcept {
-  auto* o = reinterpret_cast<double*>(out);
-  const auto* pa = reinterpret_cast<const double*>(a);
-  const auto* pb = reinterpret_cast<const double*>(b);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m256d va = _mm256_loadu_pd(pa + 2 * i);
-    const __m256d vb = _mm256_loadu_pd(pb + 2 * i);
-    // Per-element complexScale: the coefficient is a vector, so the real
-    // parts come from movedup (even lanes) and the imaginaries from the odd
-    // lanes duplicated.
-    const __m256d br = _mm256_movedup_pd(vb);
-    const __m256d bi = _mm256_permute_pd(vb, 0b1111);
-    _mm256_storeu_pd(o + 2 * i, complexScale(va, br, bi));
-  }
-  for (; i < n; ++i) {
-    out[i] = a[i] * b[i];
-  }
-}
-
-void denseColumnsK(Complex* const* out, const Complex* const* in,
-                   const Complex* u, unsigned m, std::size_t n) noexcept {
-  // Broadcast the matrix once; the spill to stack stays L1-hot across the
-  // whole tile while the column loads stream.
-  __m256d ur[64];
-  __m256d ui[64];
-  for (unsigned j = 0; j < m * m; ++j) {
-    ur[j] = _mm256_set1_pd(u[j].real());
-    ui[j] = _mm256_set1_pd(u[j].imag());
-  }
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m256d acc[8];
-    for (unsigned j = 0; j < m; ++j) {
-      acc[j] = _mm256_setzero_pd();
-    }
-    for (unsigned l = 0; l < m; ++l) {
-      const __m256d v =
-          _mm256_loadu_pd(reinterpret_cast<const double*>(in[l] + i));
-      for (unsigned j = 0; j < m; ++j) {
-        acc[j] = _mm256_add_pd(acc[j],
-                               complexScale(v, ur[j * m + l], ui[j * m + l]));
-      }
-    }
-    for (unsigned j = 0; j < m; ++j) {
-      _mm256_storeu_pd(reinterpret_cast<double*>(out[j] + i), acc[j]);
-    }
-  }
-  for (; i < n; ++i) {
-    Complex x[8];
-    for (unsigned l = 0; l < m; ++l) {
-      x[l] = in[l][i];
-    }
-    for (unsigned j = 0; j < m; ++j) {
-      Complex acc{};
-      for (unsigned l = 0; l < m; ++l) {
-        acc += u[j * m + l] * x[l];
-      }
-      out[j][i] = acc;
-    }
-  }
-}
-
 }  // namespace
 
 bool avx2Compiled() noexcept { return true; }
 
 const KernelTable& avx2Table() noexcept {
   static const KernelTable table{
-      /*lanes=*/4,          &scaleK,      &scaleAccumulateK,
-      &accumulateK,         &mac2K,       &butterflyK,
-      &butterflyAdjacentK,  &scaleStridedK, &macStridedK,
-      &mac2StridedK,        &normSquaredK,  &mulPointwiseK,
-      &denseColumnsK,
+      /*lanes=*/4,         &scaleK,        &scaleAccumulateK,
+      &accumulateK,        &butterflyK,    &butterflyAdjacentK,
+      &scaleStridedK,      &normSquaredK,
   };
   return table;
 }

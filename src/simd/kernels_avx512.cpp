@@ -108,39 +108,6 @@ void accumulateK(Complex* out, const Complex* in, std::size_t n) noexcept {
   }
 }
 
-void mac2K(Complex* out, const Complex* x, Complex a, const Complex* y,
-           Complex b, std::size_t n) noexcept {
-  const __m512d ar = _mm512_set1_pd(a.real());
-  const __m512d ai = _mm512_set1_pd(a.imag());
-  const __m512d br = _mm512_set1_pd(b.real());
-  const __m512d bi = _mm512_set1_pd(b.imag());
-  auto* o = reinterpret_cast<double*>(out);
-  const auto* px = reinterpret_cast<const double*>(x);
-  const auto* py = reinterpret_cast<const double*>(y);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_prefetch(reinterpret_cast<const char*>(px + 2 * i) + 256,
-                 _MM_HINT_T0);
-    _mm_prefetch(reinterpret_cast<const char*>(py + 2 * i) + 256,
-                 _MM_HINT_T0);
-    __m512d acc = _mm512_loadu_pd(o + 2 * i);
-    acc = _mm512_add_pd(acc,
-                        complexScale(_mm512_loadu_pd(px + 2 * i), ar, ai));
-    acc = _mm512_add_pd(acc,
-                        complexScale(_mm512_loadu_pd(py + 2 * i), br, bi));
-    _mm512_storeu_pd(o + 2 * i, acc);
-  }
-  if (i < n) {
-    const __mmask8 m = tailMask(n - i);
-    __m512d acc = _mm512_maskz_loadu_pd(m, o + 2 * i);
-    acc = _mm512_add_pd(
-        acc, complexScale(_mm512_maskz_loadu_pd(m, px + 2 * i), ar, ai));
-    acc = _mm512_add_pd(
-        acc, complexScale(_mm512_maskz_loadu_pd(m, py + 2 * i), br, bi));
-    _mm512_mask_storeu_pd(o + 2 * i, m, acc);
-  }
-}
-
 void butterflyK(Complex* a, Complex* b, const Complex* u,
                 std::size_t n) noexcept {
   const __m512d u0r = _mm512_set1_pd(u[0].real());
@@ -236,7 +203,6 @@ void butterflyAdjacentK(Complex* s, const Complex* u,
 /// (complexes {0, 2}). Unlike the AVX2 blend-store path, the masked store
 /// writes only the comb's own bytes, so every comb — including the last —
 /// runs vectorized.
-template <bool Accumulate>
 void scaleStride2Lane0(Complex* out, const Complex* in, Complex s,
                        std::size_t count) noexcept {
   const __m512d sr = _mm512_set1_pd(s.real());
@@ -247,20 +213,12 @@ void scaleStride2Lane0(Complex* out, const Complex* in, Complex s,
   std::size_t k = 0;
   for (; k + 2 <= count; k += 2) {
     const __m512d v = _mm512_maskz_loadu_pd(kPair, p + 4 * k);
-    __m512d r = complexScale(v, sr, si);
-    if constexpr (Accumulate) {
-      r = _mm512_add_pd(_mm512_maskz_loadu_pd(kPair, o + 4 * k), r);
-    }
-    _mm512_mask_storeu_pd(o + 4 * k, kPair, r);
+    _mm512_mask_storeu_pd(o + 4 * k, kPair, complexScale(v, sr, si));
   }
   if (k < count) {
     constexpr __mmask8 kOne = 0b00000011;
     const __m512d v = _mm512_maskz_loadu_pd(kOne, p + 4 * k);
-    __m512d r = complexScale(v, sr, si);
-    if constexpr (Accumulate) {
-      r = _mm512_add_pd(_mm512_maskz_loadu_pd(kOne, o + 4 * k), r);
-    }
-    _mm512_mask_storeu_pd(o + 4 * k, kOne, r);
+    _mm512_mask_storeu_pd(o + 4 * k, kOne, complexScale(v, sr, si));
   }
 }
 
@@ -269,7 +227,7 @@ void scaleStridedK(Complex* out, const Complex* in, Complex s,
                    std::size_t stride) noexcept {
   if (len == 1) {
     if (stride == 2) {
-      scaleStride2Lane0<false>(out, in, s, count);
+      scaleStride2Lane0(out, in, s, count);
     } else {
       // Isolated elements at other strides: the scalar TU's indexed loop
       // beats gather codegen, same as the AVX2 tier.
@@ -279,33 +237,6 @@ void scaleStridedK(Complex* out, const Complex* in, Complex s,
   }
   for (std::size_t k = 0; k < count; ++k) {
     scaleK(out + k * stride, in + k * stride, s, len);
-  }
-}
-
-void macStridedK(Complex* out, const Complex* in, Complex s, std::size_t count,
-                 std::size_t len, std::size_t stride) noexcept {
-  if (len == 1) {
-    if (stride == 2) {
-      scaleStride2Lane0<true>(out, in, s, count);
-    } else {
-      scalarTable().macStrided(out, in, s, count, len, stride);
-    }
-    return;
-  }
-  for (std::size_t k = 0; k < count; ++k) {
-    scaleAccumulateK(out + k * stride, in + k * stride, s, len);
-  }
-}
-
-void mac2StridedK(Complex* out, const Complex* x, Complex a, const Complex* y,
-                  Complex b, std::size_t count, std::size_t len,
-                  std::size_t stride) noexcept {
-  if (len == 1) {
-    scalarTable().mac2Strided(out, x, a, y, b, count, len, stride);
-    return;
-  }
-  for (std::size_t k = 0; k < count; ++k) {
-    mac2K(out + k * stride, x + k * stride, a, y + k * stride, b, len);
   }
 }
 
@@ -324,87 +255,15 @@ fp normSquaredK(const Complex* v, std::size_t n) noexcept {
   return _mm512_reduce_add_pd(acc);
 }
 
-void mulPointwiseK(Complex* out, const Complex* a, const Complex* b,
-                   std::size_t n) noexcept {
-  auto* o = reinterpret_cast<double*>(out);
-  const auto* pa = reinterpret_cast<const double*>(a);
-  const auto* pb = reinterpret_cast<const double*>(b);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m512d va = _mm512_loadu_pd(pa + 2 * i);
-    const __m512d vb = _mm512_loadu_pd(pb + 2 * i);
-    const __m512d br = _mm512_movedup_pd(vb);
-    const __m512d bi = _mm512_permute_pd(vb, 0xFF);
-    _mm512_storeu_pd(o + 2 * i, complexScale(va, br, bi));
-  }
-  if (i < n) {
-    const __mmask8 m = tailMask(n - i);
-    const __m512d va = _mm512_maskz_loadu_pd(m, pa + 2 * i);
-    const __m512d vb = _mm512_maskz_loadu_pd(m, pb + 2 * i);
-    const __m512d br = _mm512_movedup_pd(vb);
-    const __m512d bi = _mm512_permute_pd(vb, 0xFF);
-    _mm512_mask_storeu_pd(o + 2 * i, m, complexScale(va, br, bi));
-  }
-}
-
-void denseColumnsK(Complex* const* out, const Complex* const* in,
-                   const Complex* u, unsigned m, std::size_t n) noexcept {
-  __m512d ur[64];
-  __m512d ui[64];
-  for (unsigned j = 0; j < m * m; ++j) {
-    ur[j] = _mm512_set1_pd(u[j].real());
-    ui[j] = _mm512_set1_pd(u[j].imag());
-  }
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m512d acc[8];
-    for (unsigned j = 0; j < m; ++j) {
-      acc[j] = _mm512_setzero_pd();
-    }
-    for (unsigned l = 0; l < m; ++l) {
-      const __m512d v =
-          _mm512_loadu_pd(reinterpret_cast<const double*>(in[l] + i));
-      for (unsigned j = 0; j < m; ++j) {
-        acc[j] = _mm512_add_pd(acc[j],
-                               complexScale(v, ur[j * m + l], ui[j * m + l]));
-      }
-    }
-    for (unsigned j = 0; j < m; ++j) {
-      _mm512_storeu_pd(reinterpret_cast<double*>(out[j] + i), acc[j]);
-    }
-  }
-  if (i < n) {
-    const __mmask8 mask = tailMask(n - i);
-    __m512d acc[8];
-    for (unsigned j = 0; j < m; ++j) {
-      acc[j] = _mm512_setzero_pd();
-    }
-    for (unsigned l = 0; l < m; ++l) {
-      const __m512d v = _mm512_maskz_loadu_pd(
-          mask, reinterpret_cast<const double*>(in[l] + i));
-      for (unsigned j = 0; j < m; ++j) {
-        acc[j] = _mm512_add_pd(acc[j],
-                               complexScale(v, ur[j * m + l], ui[j * m + l]));
-      }
-    }
-    for (unsigned j = 0; j < m; ++j) {
-      _mm512_mask_storeu_pd(reinterpret_cast<double*>(out[j] + i), mask,
-                            acc[j]);
-    }
-  }
-}
-
 }  // namespace
 
 bool avx512Compiled() noexcept { return true; }
 
 const KernelTable& avx512Table() noexcept {
   static const KernelTable table{
-      /*lanes=*/8,          &scaleK,      &scaleAccumulateK,
-      &accumulateK,         &mac2K,       &butterflyK,
-      &butterflyAdjacentK,  &scaleStridedK, &macStridedK,
-      &mac2StridedK,        &normSquaredK,  &mulPointwiseK,
-      &denseColumnsK,
+      /*lanes=*/8,         &scaleK,        &scaleAccumulateK,
+      &accumulateK,        &butterflyK,    &butterflyAdjacentK,
+      &scaleStridedK,      &normSquaredK,
   };
   return table;
 }

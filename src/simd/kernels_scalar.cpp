@@ -27,13 +27,6 @@ void accumulateK(Complex* out, const Complex* in, std::size_t n) noexcept {
   }
 }
 
-void mac2K(Complex* out, const Complex* x, Complex a, const Complex* y,
-           Complex b, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] += a * x[i] + b * y[i];
-  }
-}
-
 void butterflyK(Complex* a, Complex* b, const Complex* u,
                 std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) {
@@ -65,27 +58,6 @@ void scaleStridedK(Complex* out, const Complex* in, Complex s,
   }
 }
 
-void macStridedK(Complex* out, const Complex* in, Complex s, std::size_t count,
-                 std::size_t len, std::size_t stride) noexcept {
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::size_t base = k * stride;
-    for (std::size_t j = 0; j < len; ++j) {
-      out[base + j] += s * in[base + j];
-    }
-  }
-}
-
-void mac2StridedK(Complex* out, const Complex* x, Complex a, const Complex* y,
-                  Complex b, std::size_t count, std::size_t len,
-                  std::size_t stride) noexcept {
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::size_t base = k * stride;
-    for (std::size_t j = 0; j < len; ++j) {
-      out[base + j] += a * x[base + j] + b * y[base + j];
-    }
-  }
-}
-
 fp normSquaredK(const Complex* v, std::size_t n) noexcept {
   fp sum = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -94,39 +66,13 @@ fp normSquaredK(const Complex* v, std::size_t n) noexcept {
   return sum;
 }
 
-void mulPointwiseK(Complex* out, const Complex* a, const Complex* b,
-                   std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = a[i] * b[i];
-  }
-}
-
-void denseColumnsK(Complex* const* out, const Complex* const* in,
-                   const Complex* u, unsigned m, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    Complex x[8];
-    for (unsigned l = 0; l < m; ++l) {
-      x[l] = in[l][i];
-    }
-    for (unsigned j = 0; j < m; ++j) {
-      Complex acc{};
-      for (unsigned l = 0; l < m; ++l) {
-        acc += u[j * m + l] * x[l];
-      }
-      out[j][i] = acc;
-    }
-  }
-}
-
 }  // namespace
 
 const KernelTable& scalarTable() noexcept {
   static const KernelTable table{
-      /*lanes=*/1,          &scaleK,      &scaleAccumulateK,
-      &accumulateK,         &mac2K,       &butterflyK,
-      &butterflyAdjacentK,  &scaleStridedK, &macStridedK,
-      &mac2StridedK,        &normSquaredK,  &mulPointwiseK,
-      &denseColumnsK,
+      /*lanes=*/1,         &scaleK,        &scaleAccumulateK,
+      &accumulateK,        &butterflyK,    &butterflyAdjacentK,
+      &scaleStridedK,      &normSquaredK,
   };
   return table;
 }

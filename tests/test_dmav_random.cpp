@@ -1,6 +1,6 @@
 // Randomized DMAV-vs-array equivalence: random 1q/2q/controlled gates over
-// 2-10 qubits, thread counts {1,2,4,8}, through the plain, cached, and
-// plan-replay execution paths, with the ident fast path both on and off.
+// 2-10 qubits, thread counts {1,2,4,8}, through Algorithm 1 (dmav) and
+// Algorithm 2 (dmavCached), with the ident fast path both on and off.
 // The oracle is the dense reference (test::denseOperator/denseApply), which
 // shares no code with the DD package or the DMAV kernels.
 
@@ -12,7 +12,6 @@
 #include "dd/package.hpp"
 #include "flatdd/dmav.hpp"
 #include "flatdd/dmav_cache.hpp"
-#include "flatdd/dmav_plan.hpp"
 #include "helpers.hpp"
 
 namespace fdd::flat {
@@ -90,33 +89,13 @@ TEST_P(DmavRandom, AllPathsMatchDenseReference) {
       AlignedVector<Complex> in(v.begin(), v.end());
       AlignedVector<Complex> out(v.size());
 
-      // Path 1: plain row-space DMAV (compile + replay one-shot).
+      // Algorithm 1: row-space DMAV.
       dmav(m, n, in, out, threads);
       EXPECT_STATE_NEAR(out, ref, kTol) << op.toString() << " plain n=" << n;
 
-      // Path 2: pre-plan recursive row-space path.
-      dmavRecursive(m, n, in, out, threads);
-      EXPECT_STATE_NEAR(out, ref, kTol)
-          << op.toString() << " recursive n=" << n;
-
-      // Path 3: cached column-space DMAV through a plan.
+      // Algorithm 2: column-space DMAV with the sub-product cache.
       dmavCached(m, n, in, out, threads, ws);
       EXPECT_STATE_NEAR(out, ref, kTol) << op.toString() << " cached n=" << n;
-
-      // Path 4: pre-plan recursive cached path.
-      dmavCachedRecursive(m, n, in, out, threads, ws);
-      EXPECT_STATE_NEAR(out, ref, kTol)
-          << op.toString() << " cachedRecursive n=" << n;
-
-      // Path 5: explicit compile once, replay twice (plan reuse).
-      const DmavPlan plan =
-          compileDmavPlan(m, n, threads, PlanMode::Row);
-      replayPlan(plan, in, out);
-      EXPECT_STATE_NEAR(out, ref, kTol) << op.toString() << " replay n=" << n;
-      AlignedVector<Complex> out2(v.size());
-      replayPlan(plan, in, out2);
-      EXPECT_STATE_NEAR(out2, ref, kTol)
-          << op.toString() << " replay2 n=" << n;
     }
   }
   setIdentFastPath(true);
@@ -128,19 +107,16 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(true, false)));
 
 TEST(DmavRandomChain, LongRandomCircuitAllPathsAgree) {
-  // Chain 40 random gates at 8 qubits, advancing four states in lockstep
-  // through the four execution paths; they must stay bit-close throughout.
+  // Chain 40 random gates at 8 qubits, advancing two states in lockstep
+  // through Algorithms 1 and 2; they must stay bit-close throughout.
   const Qubit n = 8;
   dd::Package p{n};
   Xoshiro256 rng{777};
-  DmavWorkspace ws1;
-  DmavWorkspace ws2;
+  DmavWorkspace ws;
   const Index dim = Index{1} << n;
   AlignedVector<Complex> plain(dim, Complex{});
   plain[0] = Complex{1.0};
-  AlignedVector<Complex> rec = plain;
   AlignedVector<Complex> cached = plain;
-  AlignedVector<Complex> planned = plain;
   AlignedVector<Complex> scratch(dim);
   auto step = [&](AlignedVector<Complex>& state, auto&& apply) {
     apply(state, scratch);
@@ -151,16 +127,9 @@ TEST(DmavRandomChain, LongRandomCircuitAllPathsAgree) {
     const dd::mEdge m = p.makeGateDD(op);
     const unsigned t = 1u << rng.below(4);  // 1, 2, 4 or 8 threads
     step(plain, [&](auto& v, auto& w) { dmav(m, n, v, w, t); });
-    step(rec, [&](auto& v, auto& w) { dmavRecursive(m, n, v, w, t); });
-    step(cached, [&](auto& v, auto& w) { dmavCached(m, n, v, w, t, ws1); });
-    step(planned, [&](auto& v, auto& w) {
-      const DmavPlan plan = compileDmavPlan(m, n, t, PlanMode::Cached);
-      replayPlanCached(plan, v, w, ws2);
-    });
+    step(cached, [&](auto& v, auto& w) { dmavCached(m, n, v, w, t, ws); });
   }
-  EXPECT_STATE_NEAR(plain, rec, kTol);
   EXPECT_STATE_NEAR(plain, cached, kTol);
-  EXPECT_STATE_NEAR(plain, planned, kTol);
 }
 
 }  // namespace

@@ -178,7 +178,7 @@ TEST(RunReportJson, RoundTripsEveryField) {
 
 TEST(RunReportJson, SimdTierAndFusionCountersAreReported) {
   // The report's resolved dispatch tier must match the active kernel table,
-  // and a diagonal-layer circuit must surface the fused-run counters.
+  // and with a fusion pass the gate counters must still cover every gate.
   qc::Circuit circuit{6, "diag"};
   for (Qubit q = 0; q < 6; ++q) {
     circuit.h(q);
@@ -190,18 +190,16 @@ TEST(RunReportJson, SimdTierAndFusionCountersAreReported) {
   }
   engine::EngineOptions options;
   options.forceConversionAtGate = 6;
+  options.passes = {"fusion-dmav"};
   const engine::RunReport report = engine::simulate("flatdd", circuit,
                                                     options);
   EXPECT_EQ(report.simdTier, simd::toString(simd::activeTier()));
   EXPECT_EQ(report.simdLanes, simd::lanes());
   EXPECT_EQ(report.simdLanes, simd::lanesOf(simd::activeTier()));
-  EXPECT_GT(report.diagRuns, 0u);
-  EXPECT_GE(report.diagRunGates, 2 * report.diagRuns);
+  EXPECT_EQ(report.ddGates, 6u);
+  EXPECT_EQ(report.ddGates + report.dmavGates, circuit.numGates());
   const engine::RunReport parsed =
       engine::RunReport::fromJson(report.toJson());
-  EXPECT_EQ(parsed.diagRuns, report.diagRuns);
-  EXPECT_EQ(parsed.diagRunGates, report.diagRunGates);
-  EXPECT_EQ(parsed.denseBlockGates, report.denseBlockGates);
   EXPECT_EQ(parsed, report);
 }
 
@@ -221,9 +219,9 @@ engine::RunReport reportWithMetrics() {
   engine::RunReport report;
   report.backend = "flatdd";
   report.circuit = "synthetic";
-  report.metrics.counters = {{"planCache.hits", 3}, {"rss.bytes", 1.5e9}};
+  report.metrics.counters = {{"dmav.calls", 3}, {"rss.bytes", 1.5e9}};
   engine::MetricHistogram hist;
-  hist.name = "dmav.replay";
+  hist.name = "dmav";
   hist.count = 12;
   hist.sumSeconds = 0.125;
   hist.minSeconds = 1e-6;
@@ -233,7 +231,7 @@ engine::RunReport reportWithMetrics() {
   hist.buckets = {0, 2, 5, 5};
   report.metrics.histograms.push_back(hist);
   report.metrics.poolPhases.push_back(
-      engine::PoolPhaseMetrics{"dmav.replay", 4, 0.25, {0.1, 0.2}, 1.25});
+      engine::PoolPhaseMetrics{"dmav", 4, 0.25, {0.1, 0.2}, 1.25});
   report.metrics.loadImbalance = 1.25;
   report.metrics.droppedTraceEvents = 7;
   report.ewmaLog = {engine::EwmaTickReport{0, 10, 10.0, 20.0, false},

@@ -12,6 +12,7 @@
 #include "engine/backend_factory.hpp"
 #include "flatdd/flatdd_simulator.hpp"
 #include "helpers.hpp"
+#include "obs/trace.hpp"
 #include "sim/array_simulator.hpp"
 
 namespace fdd::flat {
@@ -128,11 +129,10 @@ TEST(FlatDD, ForcedCachingStillCorrect) {
   EXPECT_STATE_NEAR(flat.stateVector(), ref.state(), 1e-9);
 }
 
-TEST(FlatDD, DiagonalLayersCollapseIntoDiagRuns) {
+TEST(FlatDD, DiagonalLayersMatchArrayBaseline) {
   // An ISING/QAOA-style circuit: after the H wall, every layer is n RZ
-  // gates plus a CP ladder — all diagonal. With fuseDiagonalRuns the DMAV
-  // phase must collapse each maximal run into one fused sweep and still
-  // match both the unfused configuration and the array baseline.
+  // gates plus a CP ladder — all diagonal. The DMAV phase applies each gate
+  // and must match the array baseline.
   const Qubit n = 8;
   qc::Circuit circuit{n, "diag-layers"};
   for (Qubit q = 0; q < n; ++q) {
@@ -152,25 +152,14 @@ TEST(FlatDD, DiagonalLayersCollapseIntoDiagRuns) {
   FlatDDOptions opt;
   opt.threads = 2;
   opt.forceConversionAtGate = n;  // convert right after the H wall
-  FlatDDSimulator fused{n, opt};
-  fused.simulate(circuit);
-  EXPECT_GT(fused.stats().diagRuns, 0u);
-  EXPECT_GE(fused.stats().diagRunGates, 2 * fused.stats().diagRuns);
-  // Every layer's 2n-1 diagonal gates form one maximal run.
-  EXPECT_GE(fused.stats().diagRunGates, 6u * (2u * n - 1u));
-  EXPECT_EQ(fused.stats().ddGates + fused.stats().dmavGates,
+  FlatDDSimulator flat{n, opt};
+  flat.simulate(circuit);
+  EXPECT_EQ(flat.stats().ddGates + flat.stats().dmavGates,
             circuit.numGates());
-
-  FlatDDOptions unfusedOpt = opt;
-  unfusedOpt.fuseDiagonalRuns = false;
-  FlatDDSimulator unfused{n, unfusedOpt};
-  unfused.simulate(circuit);
-  EXPECT_EQ(unfused.stats().diagRuns, 0u);
-  EXPECT_STATE_NEAR(fused.stateVector(), unfused.stateVector(), 1e-10);
 
   sim::ArraySimulator ref{n, {.threads = 2}};
   ref.simulate(circuit);
-  EXPECT_STATE_NEAR(fused.stateVector(), ref.state(), 1e-10);
+  EXPECT_STATE_NEAR(flat.stateVector(), ref.state(), 1e-10);
 }
 
 TEST(FlatDD, PerGateTraceCoversAllGates) {
@@ -244,26 +233,76 @@ TEST(FlatDD, ChunkedRunsReportCumulativeGateIndices) {
   }
 }
 
-TEST(FlatDD, ChunkedRunsReusePlansAsOneCallDoes) {
-  // Cached plans pin their gate roots, so they stay valid across calls and
-  // the garbage collections between them: a circuit fed in 64-gate chunks
-  // (as Session::apply feeds it) hits and compiles exactly as one call
-  // does. DiagRun fusion is off because chunk borders also cut runs.
+TEST(FlatDD, FusedRunsCountAndTraceEveryGate) {
+  // A fused matrix counts every circuit gate it covers in dmavGates and
+  // leaves one per-gate trace entry for each of them.
+  const auto circuit = circuits::randomUniversal(10, 150, 3);
+  const Qubit n = circuit.numQubits();
+  const std::size_t gates = circuit.numGates();
+  for (const FusionMode mode :
+       {FusionMode::DmavAware, FusionMode::KOperations}) {
+    SCOPED_TRACE(mode == FusionMode::DmavAware ? "dmav-aware" : "k-ops");
+    FlatDDOptions opt;
+    opt.threads = 1;
+    opt.recordPerGate = true;
+    opt.forceConversionAtGate = 70;
+    opt.fusion = mode;
+    FlatDDSimulator flat{n, opt};
+    flat.simulate(circuit);
+    const FlatDDStats& s = flat.stats();
+    EXPECT_EQ(s.ddGates, 70u);
+    EXPECT_EQ(s.ddGates + s.dmavGates, gates);
+    ASSERT_EQ(s.perGate.size(), gates);
+    for (std::size_t g = 0; g < gates; ++g) {
+      EXPECT_EQ(s.perGate[g].gateIndex, g);
+      EXPECT_EQ(s.perGate[g].inDDPhase, g < 70u) << "gate " << g;
+    }
+  }
+}
+
+TEST(FlatDD, EwmaLogKeepsOnlyTheNewestTicks) {
+#if !FDD_OBS_ENABLED
+  GTEST_SKIP() << "observability is compiled out";
+#else
+  // CX gates move the |1...1> branch of a GHZ state to another basis state,
+  // so the DD stays tiny and the run never leaves the DD phase: every gate
+  // is one EWMA tick.
+  const Qubit n = 16;
+  qc::Circuit circuit = circuits::ghz(n);
+  for (std::size_t g = 0; g < 4 * kEwmaLogCapacity; ++g) {
+    const auto control = static_cast<Qubit>(g % n);
+    circuit.cx(control, static_cast<Qubit>((control + 1) % n));
+  }
+  obs::setEnabled(true);
+  FlatDDSimulator flat{n, {.threads = 1}};
+  flat.simulate(circuit);
+  obs::setEnabled(false);
+
+  const FlatDDStats& s = flat.stats();
+  EXPECT_FALSE(s.converted);
+  ASSERT_FALSE(s.ewmaLog.empty());
+  EXPECT_LE(s.ewmaLog.size(), kEwmaLogCapacity);
+  EXPECT_EQ(s.ewmaLog.back().gate, circuit.numGates() - 1);
+#endif
+}
+
+TEST(FlatDD, ChunkedRunsMatchOneCall) {
+  // A circuit fed in 64-gate chunks (as Session::apply feeds it), with the
+  // garbage collections between calls, ends where one call does.
   const auto circuit = circuits::randomUniversal(10, 1024, 7);
   const Qubit n = circuit.numQubits();
   FlatDDOptions opt;
   opt.threads = 1;
   opt.forceConversionAtGate = 1;
-  opt.fuseDiagonalRuns = false;
 
   FlatDDSimulator whole{n, opt};
   whole.simulate(circuit);
   FlatDDSimulator chunked{n, opt};
   simulateInChunks(chunked, circuit, 64);
 
-  EXPECT_GT(whole.stats().planCacheHits, 0u);
-  EXPECT_EQ(chunked.stats().planCacheHits, whole.stats().planCacheHits);
-  EXPECT_EQ(chunked.stats().planCompiles, whole.stats().planCompiles);
+  EXPECT_EQ(chunked.stats().conversionGateIndex,
+            whole.stats().conversionGateIndex);
+  EXPECT_EQ(chunked.stats().ddGates, whole.stats().ddGates);
   for (Index i = 0; i < (Index{1} << n); ++i) {
     ASSERT_LT(std::abs(chunked.amplitude(i) - whole.amplitude(i)), 1e-12)
         << "amplitude " << i;

@@ -1,10 +1,9 @@
 // Service core: job queue scheduling (priority across sessions, FIFO within
 // one, cancellation, deadlines), session semantics (seeded sampling,
-// checkpoint/restore, incremental apply), the shared plan cache's
-// cross-package contract, concurrent sessions vs sequential replay, the
-// line-delimited JSON protocol, and the observability surface (request-id
-// propagation, timing fields, queue gauges, watchdog, slow log, admin
-// listener).
+// checkpoint/restore, incremental apply), concurrent sessions vs
+// sequential replay, the line-delimited JSON protocol, and the
+// observability surface (request-id propagation, timing fields, queue
+// gauges, watchdog, slow log, admin listener).
 
 #include <gtest/gtest.h>
 
@@ -496,9 +495,7 @@ void checkConcurrentSessionsMatchSequentialReplay(
       replay.apply(batchFor(i, b));
     }
     if (forceConversionAtGate) {
-      const engine::RunReport r = sessions[i]->report();
-      EXPECT_TRUE(r.converted);
-      EXPECT_GT(r.planCacheHits, 0u);
+      EXPECT_TRUE(sessions[i]->report().converted);
     }
     EXPECT_EQ(replay.sample(128), samples[i]) << "session " << i;
     for (const Index idx : {Index{0}, Index{13}, Index{63}}) {
@@ -513,8 +510,8 @@ void checkConcurrentSessionsMatchSequentialReplay(
 
 TEST(SvcSessionManager, ConcurrentSessionsMatchSequentialReplay) {
   // Run once on the EWMA trigger and once with a forced conversion at gate
-  // 20, so the sessions also replay DMAV plans from their own caches while
-  // other sessions run on the other workers.
+  // 20, so the sessions also run DMAV while other sessions run on the other
+  // workers.
   for (const std::optional<std::size_t> forced :
        {std::optional<std::size_t>{}, std::optional<std::size_t>{20}}) {
     SCOPED_TRACE(forced ? "forced conversion at gate 20" : "EWMA trigger");
@@ -898,8 +895,6 @@ TEST(SvcSlowLog, WritesJsonlRecordsWithRequestId) {
     ServiceConfig cfg = withWorkers(1);
     cfg.slowLogPath = path;
     cfg.slowRequestMs = 0;  // log every request
-    // Convert after the first gate, so the repeated H below replays one
-    // cached DMAV plan: 1 compile, then 2 hits.
     cfg.engineDefaults.forceConversionAtGate = 1;
     Service service{cfg};
     ASSERT_TRUE(responseOk(
@@ -926,8 +921,6 @@ TEST(SvcSlowLog, WritesJsonlRecordsWithRequestId) {
     EXPECT_EQ(*obj.find("event")->second.string(), "slow_request");
     ++entries;
     const std::string& op = *obj.find("op")->second.string();
-    // Each entry carries its own request's plan-cache hits.
-    const double hits = *obj.find("plan_cache_hits")->second.number();
     if (op == "apply") {
       sawApply = true;
       EXPECT_EQ(*obj.find("request_id")->second.string(), "8675309");
@@ -936,10 +929,8 @@ TEST(SvcSlowLog, WritesJsonlRecordsWithRequestId) {
       EXPECT_TRUE(obj.find("exec_ms") != obj.end());
       EXPECT_TRUE(obj.find("simd_tier") != obj.end());
       EXPECT_EQ(*obj.find("gates")->second.number(), 4);
-      EXPECT_EQ(hits, 2);
     } else if (op == "sample") {
       sawSample = true;
-      EXPECT_EQ(hits, 0);
     }
   }
   EXPECT_GE(entries, 2);

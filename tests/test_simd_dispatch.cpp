@@ -130,30 +130,6 @@ TEST(SimdDispatch, AccumulateMatchesReference) {
   }
 }
 
-TEST(SimdDispatch, Mac2MatchesReference) {
-  TierGuard guard;
-  Xoshiro256 rng{14};
-  for (const DispatchTier tier : availableTiers()) {
-    ASSERT_TRUE(setDispatchTier(tier));
-    for (std::size_t n = 1; n <= 257; n += (n < 16 ? 1 : 13)) {
-      for (const std::size_t off : kOffsets) {
-        const auto x = randomBuf(off + n, rng);
-        const auto y = randomBuf(off + n, rng);
-        const auto base = randomBuf(off + n, rng);
-        auto out = base;
-        const Complex a = randomCoeff(rng);
-        const Complex b = randomCoeff(rng);
-        mac2(out.data() + off, x.data() + off, a, y.data() + off, b, n);
-        for (std::size_t i = 0; i < n; ++i) {
-          expectNear(out[off + i],
-                     base[off + i] + a * x[off + i] + b * y[off + i],
-                     toString(tier), i);
-        }
-      }
-    }
-  }
-}
-
 TEST(SimdDispatch, ButterflyMatchesReference) {
   TierGuard guard;
   Xoshiro256 rng{15};
@@ -259,61 +235,6 @@ TEST(SimdDispatch, ScaleStridedMatchesReference) {
   }
 }
 
-TEST(SimdDispatch, MacStridedMatchesReference) {
-  TierGuard guard;
-  Xoshiro256 rng{18};
-  for (const DispatchTier tier : availableTiers()) {
-    ASSERT_TRUE(setDispatchTier(tier));
-    for (const CombCase& c : combCases()) {
-      for (const std::size_t off : kOffsets) {
-        const std::size_t span = (c.count - 1) * c.stride + c.len;
-        const auto in = randomBuf(off + span, rng);
-        const auto base = randomBuf(off + span, rng);
-        auto out = base;
-        const Complex s = randomCoeff(rng);
-        macStrided(out.data() + off, in.data() + off, s, c.count, c.len,
-                   c.stride);
-        for (std::size_t i = 0; i < span; ++i) {
-          const std::size_t k = c.stride == 0 ? 0 : i / c.stride;
-          const bool touched = k < c.count && i - k * c.stride < c.len;
-          const Complex want =
-              touched ? base[off + i] + s * in[off + i] : base[off + i];
-          expectNear(out[off + i], want, "mac-strided", i);
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdDispatch, Mac2StridedMatchesReference) {
-  TierGuard guard;
-  Xoshiro256 rng{19};
-  for (const DispatchTier tier : availableTiers()) {
-    ASSERT_TRUE(setDispatchTier(tier));
-    for (const CombCase& c : combCases()) {
-      for (const std::size_t off : kOffsets) {
-        const std::size_t span = (c.count - 1) * c.stride + c.len;
-        const auto x = randomBuf(off + span, rng);
-        const auto y = randomBuf(off + span, rng);
-        const auto base = randomBuf(off + span, rng);
-        auto out = base;
-        const Complex a = randomCoeff(rng);
-        const Complex b = randomCoeff(rng);
-        mac2Strided(out.data() + off, x.data() + off, a, y.data() + off, b,
-                    c.count, c.len, c.stride);
-        for (std::size_t i = 0; i < span; ++i) {
-          const std::size_t k = c.stride == 0 ? 0 : i / c.stride;
-          const bool touched = k < c.count && i - k * c.stride < c.len;
-          const Complex want =
-              touched ? base[off + i] + a * x[off + i] + b * y[off + i]
-                      : base[off + i];
-          expectNear(out[off + i], want, "mac2-strided", i);
-        }
-      }
-    }
-  }
-}
-
 TEST(SimdDispatch, NormSquaredMatchesReference) {
   TierGuard guard;
   Xoshiro256 rng{20};
@@ -358,72 +279,6 @@ TEST(SimdDispatch, ParseTierNameCoversVocabulary) {
   EXPECT_EQ(parseTierName("sse"), std::nullopt);
   EXPECT_EQ(parseTierName(""), std::nullopt);
   EXPECT_EQ(parseTierName(nullptr), std::nullopt);
-}
-
-TEST(SimdDispatch, MulPointwiseMatchesReference) {
-  TierGuard guard;
-  Xoshiro256 rng{22};
-  for (const DispatchTier tier : availableTiers()) {
-    ASSERT_TRUE(setDispatchTier(tier));
-    for (std::size_t n = 1; n <= 257; n += (n < 16 ? 1 : 13)) {
-      for (const std::size_t off : kOffsets) {
-        const auto a = randomBuf(off + n, rng);
-        const auto b = randomBuf(off + n, rng);
-        auto out = randomBuf(off + n, rng);
-        mulPointwise(out.data() + off, a.data() + off, b.data() + off, n);
-        for (std::size_t i = 0; i < n; ++i) {
-          expectNear(out[off + i], a[off + i] * b[off + i], toString(tier),
-                     i);
-        }
-        // In-place on the first operand (the DiagRun replay shape).
-        auto v = a;
-        mulPointwise(v.data() + off, v.data() + off, b.data() + off, n);
-        for (std::size_t i = 0; i < n; ++i) {
-          expectNear(v[off + i], a[off + i] * b[off + i], "in-place", i);
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdDispatch, DenseColumnsMatchesReference) {
-  TierGuard guard;
-  Xoshiro256 rng{23};
-  for (const DispatchTier tier : availableTiers()) {
-    ASSERT_TRUE(setDispatchTier(tier));
-    for (const unsigned m : {4u, 8u}) {
-      for (std::size_t n = 1; n <= 129; n += (n < 16 ? 1 : 13)) {
-        for (const std::size_t off : kOffsets) {
-          std::array<Complex, 64> u{};
-          for (unsigned j = 0; j < m * m; ++j) {
-            u[j] = randomCoeff(rng);
-          }
-          std::vector<AlignedVector<Complex>> inBufs;
-          std::vector<AlignedVector<Complex>> outBufs;
-          const Complex* in[8];
-          Complex* out[8];
-          for (unsigned j = 0; j < m; ++j) {
-            inBufs.push_back(randomBuf(off + n, rng));
-            outBufs.push_back(randomBuf(off + n, rng));
-          }
-          for (unsigned j = 0; j < m; ++j) {
-            in[j] = inBufs[j].data() + off;
-            out[j] = outBufs[j].data() + off;
-          }
-          denseColumns(out, in, u.data(), m, n);
-          for (unsigned j = 0; j < m; ++j) {
-            for (std::size_t i = 0; i < n; ++i) {
-              Complex want{};
-              for (unsigned l = 0; l < m; ++l) {
-                want += u[j * m + l] * inBufs[l][off + i];
-              }
-              expectNear(out[j][i], want, toString(tier), i);
-            }
-          }
-        }
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ struct CliOptions {
   std::size_t shots = 0;
   std::size_t top = 8;
   bool stats = false;
-  bool planCache = true;
   bool obs = false;  // metrics without trace export
   std::string reportJson;
   std::string reportCsv;
@@ -83,12 +82,11 @@ output:
   --shots N          sample N measurements from the final state
   --top K            print the K most probable outcomes (default 8)
   --stats            print the run report as text
-  --no-plan-cache    disable the DMAV plan compiler (pre-plan recursive path)
   --report FILE      write the machine-readable run report as JSON
   --report-csv FILE  write the run report as key,value CSV
   --trace FILE       write a Chrome trace-event JSON (open in Perfetto or
                      chrome://tracing): spans for DD apply / conversion /
-                     plan compile / DMAV replay, per-worker busy counters,
+                     fusion / DMAV, per-worker busy counters,
                      DD-size and RSS tracks, EWMA decision instants.
                      Enables the observability runtime for the run.
   --trace-csv FILE   write the per-gate trace as CSV (enables recording)
@@ -184,21 +182,16 @@ void printStats(const engine::RunReport& report) {
                 pass.gatesBefore, pass.gatesAfter,
                 pass.note.empty() ? "" : ": ", pass.note.c_str());
   }
-  std::printf("phase split: %zu DD gates, %zu DMAV matrices%s\n",
+  std::printf("phase split: %zu DD gates, %zu DMAV gates%s\n",
               report.ddGates, report.dmavGates,
               report.converted ? "" : " (never converted)");
   if (report.converted) {
     std::printf("conversion at gate %zu took %.3f ms\n",
                 report.conversionGateIndex, report.conversionSeconds * 1e3);
-    std::printf("cached DMAVs: %zu (%zu cache hits)\n", report.cachedGates,
-                report.cacheHits);
-    if (report.planCacheHits + report.planCacheMisses > 0) {
-      std::printf(
-          "plan cache: %zu hits / %zu misses (%zu compiles, %.3f ms "
-          "compiling, %.3f ms replaying)\n",
-          report.planCacheHits, report.planCacheMisses, report.planCompiles,
-          report.planCompileSeconds * 1e3, report.dmavReplaySeconds * 1e3);
-    }
+    std::printf("cached DMAVs: %zu (%zu cache hits); %.3f ms in DMAV "
+                "kernels\n",
+                report.cachedGates, report.cacheHits,
+                report.dmavReplaySeconds * 1e3);
   }
   if (report.peakDDSize > 0) {
     std::printf("peak DD size: %zu nodes", report.peakDDSize);
@@ -270,7 +263,6 @@ int runCli(const CliOptions& opt) {
   eo.passes = opt.passes;
   eo.seed = opt.seed;  // stamped into the report; derives the sampling rng
   eo.recordPerGate = !opt.traceCsv.empty();
-  eo.usePlanCache = opt.planCache;
   const bool tracing = !opt.traceJson.empty();
   eo.enableObs = tracing || opt.obs;
 
@@ -406,8 +398,6 @@ int main(int argc, char** argv) {
       opt.top = static_cast<std::size_t>(std::atoll(need(i)));
     } else if (arg == "--stats") {
       opt.stats = true;
-    } else if (arg == "--no-plan-cache") {
-      opt.planCache = false;
     } else if (arg == "--report") {
       opt.reportJson = need(i);
     } else if (arg == "--report-csv") {
